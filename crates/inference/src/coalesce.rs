@@ -1,15 +1,15 @@
-//! Cross-request query coalescing: resumable performance queries that
-//! compile one *round* of interventional work at a time, so a serving
-//! layer can merge many concurrent requests' rounds into a single
-//! [`PlanBatch`] and pay for overlapping sweeps once.
+//! The one query path: every [`PerformanceQuery`] unrolled into
+//! resumable *rounds* of interventional work, so a caller merges the
+//! rounds of all queries in flight into a single [`PlanBatch`] and pays
+//! for overlapping sweeps once.
 //!
-//! [`CausalEngine::estimate_all`](crate::queries::PerformanceQuery)
-//! already batches scalar queries into one plan, but the expensive
-//! queries — root causes, repairs — are *multi-round*: they mine causal
-//! paths per goal objective, collect candidates, and only then compile
-//! their ACE-grid or repair-ranking plan, with each round's compilation
-//! depending on the previous round's answers. [`CoalescedQuery`] splits
-//! every [`PerformanceQuery`] into that explicit round structure:
+//! Scalar queries (probability, expectation, causal effect) take one
+//! round. Root causes and repairs — the counterfactual debugging queries
+//! — take several: they mine causal paths per goal objective, collect
+//! candidates, and only then compile their ACE-grid or repair-ranking
+//! plan, with each round's compilation depending on the previous round's
+//! answers. [`CoalescedQuery`] gives every query that explicit round
+//! structure:
 //!
 //! 1. [`CoalescedQuery::compile`] returns the current round's
 //!    [`QueryPlan`] (or `None` once the answer is ready);
@@ -18,11 +18,21 @@
 //! 3. feeds each request its demuxed results via
 //!    [`CoalescedQuery::advance`].
 //!
-//! Requests at different stages interleave freely — a repair query's
-//! path-mining round coalesces with another client's ACE round. Every
-//! round reuses the exact compile/finish arithmetic of the engine's own
-//! entry points, so the final answers are bit-identical to calling
-//! [`CausalEngine::estimate`] per request (`tests/serve_coalescing.rs`).
+//! [`answer_coalesced`] is that loop, and the only code in this crate
+//! that turns a [`PerformanceQuery`] into plans:
+//! [`CausalEngine::estimate_all`] calls it, [`CausalEngine::estimate`] is
+//! its one-query case, `CausalEngine::{rank_root_causes,
+//! recommend_repairs}` unwrap `estimate`, and `unicornd` serves every
+//! admission batch through it. Requests at different stages interleave
+//! freely — a repair query's path-mining round coalesces with another
+//! client's ACE round — and every answer is bit-identical to the serial
+//! reference loops (`tests/query_plan_determinism.rs`) and to answering
+//! the request alone (`tests/serve_coalescing.rs`).
+//!
+//! A new query kind is written once, here: a `State` for each of its
+//! rounds, its plan items registered in `compile`, its answer read back
+//! in `advance`. Its oracle is a serial reference built from the free
+//! functions in `ace`/`repair`, in `tests/query_plan_determinism.rs`.
 //!
 //! The [`DomainCache`] is threaded through every `compile` call of an
 //! admission batch, so each node's sweep grid is one
@@ -31,18 +41,18 @@
 
 use std::sync::Arc;
 
-use unicorn_graph::{NodeId, VarKind};
+use unicorn_graph::NodeId;
 
 use crate::ace::{
     ace_of_handles, compile_path_rank, finish_path_rank, plan_ace, PathRankCompilation,
 };
-use crate::engine::{compile_root_cause_grid, finish_root_cause_grid, CausalEngine};
+use crate::engine::CausalEngine;
 use crate::identify::identifiable;
 use crate::plan::{DomainCache, PlanBatch, PlanHandle, PlanResults, QueryPlan};
 use crate::queries::{PerformanceQuery, QueryAnswer};
 use crate::repair::{
-    compile_repair_rank, finish_repair_rank, generate_repairs_cached, QosGoal, Repair,
-    RepairRankCompilation,
+    collect_candidates, compile_repair_rank, finish_repair_rank, generate_repairs_cached, QosGoal,
+    Repair, RepairRankCompilation,
 };
 
 /// A performance query unrolled into compile/advance rounds (module
@@ -77,6 +87,9 @@ enum ScalarPending {
     Effect(Vec<PlanHandle>),
 }
 
+/// Per root-cause candidate, per goal objective: the ACE handles.
+type GridHandles = Vec<Vec<Option<Vec<PlanHandle>>>>;
+
 enum State {
     /// Answer ready.
     Done(QueryAnswer),
@@ -85,8 +98,8 @@ enum State {
     /// Scalar round compiled, awaiting results.
     ScalarPending(ScalarPending),
     /// Path-mining phase shared by root-cause and repair queries: one
-    /// goal objective ranked per round, first-seen configuration options
-    /// collected in the serial path's order (`collect_candidates`).
+    /// goal objective ranked per round, its candidates collected by the
+    /// serial path's rule (`collect_candidates`).
     Mining {
         goal: QosGoal,
         /// `Some(row)` makes this a repair query, `None` a root-cause one.
@@ -101,7 +114,7 @@ enum State {
     /// Root-cause final round: the candidates × objectives ACE grid.
     Grid {
         candidates: Vec<NodeId>,
-        handles: Vec<Vec<Option<Vec<PlanHandle>>>>,
+        handles: GridHandles,
     },
     /// Repair final round: ICE + counterfactual ranking.
     RankRepairs {
@@ -113,22 +126,56 @@ enum State {
     Poisoned,
 }
 
-/// Unidentifiability screen shared with `estimate_all`: the first
-/// offending `(cause, effect)` pair short-circuits the whole query.
+/// The unidentifiability screen: the first `(cause, effect)` pair that
+/// is not identifiable short-circuits the whole query.
 fn screen(
     engine: &CausalEngine,
-    interventions: &[(NodeId, f64)],
-    objective: NodeId,
+    causes: impl IntoIterator<Item = NodeId>,
+    effect: NodeId,
 ) -> Option<QueryAnswer> {
-    for &(x, _) in interventions {
-        if !identifiable(engine.scm().admg(), x, objective) {
-            return Some(QueryAnswer::Unidentifiable {
-                cause: x,
-                effect: objective,
-            });
-        }
-    }
-    None
+    causes
+        .into_iter()
+        .find(|&cause| !identifiable(engine.scm().admg(), cause, effect))
+        .map(|cause| QueryAnswer::Unidentifiable { cause, effect })
+}
+
+/// Registers the root-cause grid: per candidate, per goal objective, the
+/// ACE handles, in the serial path's registration order.
+fn compile_root_cause_grid(
+    plan: &mut QueryPlan,
+    candidates: &[NodeId],
+    goal: &QosGoal,
+    cache: &mut DomainCache<'_>,
+) -> GridHandles {
+    candidates
+        .iter()
+        .map(|&o| {
+            goal.thresholds
+                .iter()
+                .map(|&(obj, _)| plan_ace(plan, obj, o, &cache.values(o)))
+                .collect()
+        })
+        .collect()
+}
+
+/// Resolves a [`compile_root_cause_grid`] registration: per-objective
+/// ACEs summed per candidate (so multi-objective faults weigh both),
+/// sorted descending.
+fn finish_root_cause_grid(
+    candidates: &[NodeId],
+    handles: &[Vec<Option<Vec<PlanHandle>>>],
+    results: &PlanResults,
+) -> Vec<(NodeId, f64)> {
+    let mut scores: Vec<(NodeId, f64)> = candidates
+        .iter()
+        .zip(handles)
+        .map(|(&o, per_obj)| {
+            let total: f64 = per_obj.iter().map(|hs| ace_of_handles(results, hs)).sum();
+            (o, total)
+        })
+        .collect();
+    scores.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("NaN ACE"));
+    scores
 }
 
 impl CoalescedQuery {
@@ -136,26 +183,21 @@ impl CoalescedQuery {
     /// Unidentifiable queries complete immediately.
     pub fn new(engine: &CausalEngine, query: &PerformanceQuery) -> Self {
         let engine = engine.clone();
+        let mining = |goal: &QosGoal, fault_row| State::Mining {
+            goal: goal.clone(),
+            fault_row,
+            obj_idx: 0,
+            found: Vec::new(),
+            pending: None,
+        };
         let state = match query {
-            PerformanceQuery::RootCauses { goal } => State::Mining {
-                goal: goal.clone(),
-                fault_row: None,
-                obj_idx: 0,
-                found: Vec::new(),
-                pending: None,
-            },
-            PerformanceQuery::Repairs { goal, fault_row } => State::Mining {
-                goal: goal.clone(),
-                fault_row: Some(*fault_row),
-                obj_idx: 0,
-                found: Vec::new(),
-                pending: None,
-            },
+            PerformanceQuery::RootCauses { goal } => mining(goal, None),
+            PerformanceQuery::Repairs { goal, fault_row } => mining(goal, Some(*fault_row)),
             PerformanceQuery::ProbabilityOfQos {
                 interventions,
                 objective,
                 threshold,
-            } => match screen(&engine, interventions, *objective) {
+            } => match screen(&engine, interventions.iter().map(|&(x, _)| x), *objective) {
                 Some(a) => State::Done(a),
                 None => State::Scalar(ScalarKind::Probability {
                     interventions: interventions.clone(),
@@ -166,7 +208,7 @@ impl CoalescedQuery {
             PerformanceQuery::ExpectedObjective {
                 interventions,
                 objective,
-            } => match screen(&engine, interventions, *objective) {
+            } => match screen(&engine, interventions.iter().map(|&(x, _)| x), *objective) {
                 Some(a) => State::Done(a),
                 None => State::Scalar(ScalarKind::Expectation {
                     interventions: interventions.clone(),
@@ -174,7 +216,7 @@ impl CoalescedQuery {
                 }),
             },
             PerformanceQuery::CausalEffect { option, objective } => {
-                match screen(&engine, &[(*option, 0.0)], *objective) {
+                match screen(&engine, [*option], *objective) {
                     Some(a) => State::Done(a),
                     None => State::Scalar(ScalarKind::Effect {
                         option: *option,
@@ -184,11 +226,6 @@ impl CoalescedQuery {
             }
         };
         Self { engine, state }
-    }
-
-    /// True once the answer is ready ([`Self::answer`]).
-    pub fn is_done(&self) -> bool {
-        matches!(self.state, State::Done(_))
     }
 
     /// Compiles the next round of interventional work, or `None` when the
@@ -326,19 +363,9 @@ impl CoalescedQuery {
                 mut found,
                 pending: Some(comp),
             } => {
-                // `collect_candidates`' rule: first-seen configuration
-                // options on the top-ranked paths, in path order.
                 let ranked =
                     finish_path_rank(comp, results, self.engine.repair_options().top_k_paths);
-                for rp in &ranked {
-                    for &node in &rp.path.nodes {
-                        if self.engine.tiers().kind(node) == VarKind::ConfigOption
-                            && !found.contains(&node)
-                        {
-                            found.push(node);
-                        }
-                    }
-                }
+                collect_candidates(&mut found, &ranked, self.engine.tiers());
                 self.state = State::Mining {
                     goal,
                     fault_row,
@@ -391,7 +418,7 @@ impl CoalescedQuery {
 /// job's plan merges into one [`PlanBatch`], one
 /// [`crate::FittedScm::evaluate_plan`] answers the merged plan, and each
 /// job advances on its demuxed slice. Answers come back in query order,
-/// bit-identical to [`CausalEngine::estimate`] per query.
+/// bit-identical to answering each query alone.
 pub fn answer_coalesced(engine: &CausalEngine, queries: &[PerformanceQuery]) -> Vec<QueryAnswer> {
     let mut jobs: Vec<CoalescedQuery> = queries
         .iter()
@@ -425,7 +452,7 @@ mod tests {
     use super::*;
     use crate::ace::ExplicitDomain;
     use crate::scm::FittedScm;
-    use unicorn_graph::{Admg, TierConstraints};
+    use unicorn_graph::{Admg, TierConstraints, VarKind};
 
     fn lcg(state: &mut u64) -> f64 {
         *state = state

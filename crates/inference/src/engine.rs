@@ -2,26 +2,25 @@
 //! and value domains, exposing the operations the Unicorn loop needs
 //! (root-cause ranking, repair recommendation, path ranking).
 //!
-//! Every entry point **compiles** its whole query set into one
-//! [`crate::plan::QueryPlan`] and answers it with a single
-//! [`FittedScm::evaluate_plan`] batch — never one intervention at a time.
-//! The SCM and value domain are `Arc`-shared, so the engine (and the
-//! plans built from it) clone cheaply across worker threads and relearn
-//! iterations.
+//! Root-cause ranking and repair recommendation are
+//! [`crate::PerformanceQuery`] kinds: they unwrap
+//! [`CausalEngine::estimate`], whose one round loop
+//! ([`crate::answer_coalesced`]) runs each query's rounds. Path ranking
+//! and the option-ACE table are not query kinds and compile into one
+//! [`crate::plan::QueryPlan`] each. Either way a whole round of work is
+//! one [`FittedScm::evaluate_plan`] batch — never one intervention at a
+//! time. The SCM and value domain are `Arc`-shared, so the engine (and
+//! the plans built from it) clone cheaply across worker threads and
+//! relearn iterations.
 
 use std::sync::Arc;
 
 use unicorn_graph::{NodeId, TierConstraints, VarKind};
 
-use crate::ace::{
-    ace_of_handles, option_aces_planned, plan_ace, rank_causal_paths_planned, RankedPath,
-    ValueDomain,
-};
-use crate::plan::{DomainCache, DomainStore, QueryPlan};
-use crate::repair::{
-    generate_repairs_cached, rank_repairs_planned, root_cause_candidates_planned, QosGoal, Repair,
-    RepairOptions,
-};
+use crate::ace::{option_aces_planned, rank_causal_paths_planned, RankedPath, ValueDomain};
+use crate::plan::{DomainCache, DomainStore};
+use crate::queries::{PerformanceQuery, QueryAnswer};
+use crate::repair::{QosGoal, Repair, RepairOptions};
 use crate::scm::FittedScm;
 use crate::sweep_cache::SweepCache;
 
@@ -94,12 +93,6 @@ impl CausalEngine {
         &self.scm
     }
 
-    /// The shared fitted SCM (for callers that batch their own plans
-    /// across threads).
-    pub fn scm_shared(&self) -> &Arc<FittedScm> {
-        &self.scm
-    }
-
     /// The tier constraints.
     pub fn tiers(&self) -> &TierConstraints {
         &self.tiers
@@ -135,41 +128,28 @@ impl CausalEngine {
 
     /// Ranks configuration options by their ACE on the goal objectives,
     /// restricted to options appearing on top-ranked causal paths — the
-    /// root-cause list (descending). Candidate discovery and the
-    /// objectives × candidates × values ACE grid are each one planned
-    /// batch; sweeps shared between objectives are simulated once.
+    /// root-cause list (descending): the answer of a
+    /// [`PerformanceQuery::RootCauses`] query.
     pub fn rank_root_causes(&self, goal: &QosGoal) -> Vec<(NodeId, f64)> {
-        let mut cache = self.domain_cache();
-        let candidates = root_cause_candidates_planned(
-            &self.scm,
-            goal,
-            &self.tiers,
-            &mut cache,
-            &self.repair_opts,
-        );
-        let mut plan = QueryPlan::new();
-        let handles = compile_root_cause_grid(&mut plan, &candidates, goal, &mut cache);
-        let results = self.scm.evaluate_plan(&plan);
-        finish_root_cause_grid(&candidates, &handles, &results)
+        let query = PerformanceQuery::RootCauses { goal: goal.clone() };
+        match self.estimate(&query) {
+            QueryAnswer::RootCauses(ranked) => ranked,
+            other => unreachable!("root-cause query answered {other:?}"),
+        }
     }
 
     /// Recommends counterfactual repairs for the fault observed at
-    /// `fault_row`, best first. The whole repair sweep — every candidate
-    /// ICE estimate plus its counterfactual — is one planned batch.
+    /// `fault_row`, best first: the answer of a
+    /// [`PerformanceQuery::Repairs`] query.
     pub fn recommend_repairs(&self, goal: &QosGoal, fault_row: usize) -> Vec<Repair> {
-        let mut cache = self.domain_cache();
-        let candidates = root_cause_candidates_planned(
-            &self.scm,
-            goal,
-            &self.tiers,
-            &mut cache,
-            &self.repair_opts,
-        );
-        let fault: Vec<f64> = (0..self.scm.n_vars())
-            .map(|v| self.scm.data()[v][fault_row])
-            .collect();
-        let repairs = generate_repairs_cached(&fault, &candidates, &mut cache, &self.repair_opts);
-        rank_repairs_planned(&self.scm, goal, fault_row, repairs, &self.repair_opts)
+        let query = PerformanceQuery::Repairs {
+            goal: goal.clone(),
+            fault_row,
+        };
+        match self.estimate(&query) {
+            QueryAnswer::Repairs(repairs) => repairs,
+            other => unreachable!("repair query answered {other:?}"),
+        }
     }
 
     /// ACE of every option on `objective`, descending — the weight vector
@@ -179,47 +159,6 @@ impl CausalEngine {
         let mut cache = self.domain_cache();
         option_aces_planned(&self.scm, objective, &self.options(), &mut cache)
     }
-}
-
-/// Per-candidate, per-objective ACE handles of the root-cause grid, in
-/// the serial path's registration order. Shared by
-/// [`CausalEngine::rank_root_causes`] and the coalesced driver so the
-/// grid arithmetic cannot drift between them.
-pub(crate) fn compile_root_cause_grid(
-    plan: &mut QueryPlan,
-    candidates: &[NodeId],
-    goal: &QosGoal,
-    cache: &mut DomainCache<'_>,
-) -> Vec<Vec<Option<Vec<crate::plan::PlanHandle>>>> {
-    candidates
-        .iter()
-        .map(|&o| {
-            goal.thresholds
-                .iter()
-                .map(|&(obj, _)| plan_ace(plan, obj, o, &cache.values(o)))
-                .collect()
-        })
-        .collect()
-}
-
-/// Resolves a [`compile_root_cause_grid`] registration: per-objective
-/// ACEs summed per candidate (so multi-objective faults weigh both),
-/// sorted descending.
-pub(crate) fn finish_root_cause_grid(
-    candidates: &[NodeId],
-    handles: &[Vec<Option<Vec<crate::plan::PlanHandle>>>],
-    results: &crate::plan::PlanResults,
-) -> Vec<(NodeId, f64)> {
-    let mut scores: Vec<(NodeId, f64)> = candidates
-        .iter()
-        .zip(handles)
-        .map(|(&o, per_obj)| {
-            let total: f64 = per_obj.iter().map(|hs| ace_of_handles(results, hs)).sum();
-            (o, total)
-        })
-        .collect();
-    scores.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("NaN ACE"));
-    scores
 }
 
 #[cfg(test)]

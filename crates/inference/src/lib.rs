@@ -13,19 +13,19 @@
 //! * [`repair`] — counterfactual repair sets and ICE scoring (Eqs 2–5).
 //! * [`identify`] — bow-arc identifiability screening and backdoor-set
 //!   search.
-//! * [`plan`] — the batched causal query planner: engine entry points
-//!   compile their whole query sets into a deduplicated [`QueryPlan`]
-//!   which [`FittedScm::evaluate_plan`] executes as one pool-parallel,
-//!   ancestor-sharing batch — answers bit-identical to the legacy serial
-//!   loops at any thread count. See the `plan` module docs for how a new
-//!   query type expresses itself as plan items plus a canonical merge.
+//! * [`plan`] — the batched causal query planner: work compiles into a
+//!   deduplicated [`QueryPlan`] which [`FittedScm::evaluate_plan`]
+//!   executes as one pool-parallel, ancestor-sharing batch — answers
+//!   bit-identical to the legacy serial loops at any thread count. See
+//!   the `plan` module docs for how a query expresses itself as plan
+//!   items plus a canonical merge.
 //! * [`queries`] — the user-facing performance-query interface
 //!   (Stages I and V).
-//! * [`coalesce`] — cross-request query coalescing: performance queries
-//!   unrolled into resumable compile/advance rounds so a serving layer
-//!   (`unicornd`) can merge many concurrent requests into one
-//!   [`plan::PlanBatch`] per admission batch, answers bit-identical to
-//!   estimating each request alone.
+//! * [`coalesce`] — the one query path: every performance query
+//!   unrolled into resumable compile/advance rounds, the rounds of all
+//!   queries in flight merged into one [`plan::PlanBatch`] each.
+//!   [`CausalEngine::estimate`] and `unicornd`'s admission batches both
+//!   run through it.
 //! * [`dsl`] — a textual query language over it (the §11 future-work
 //!   direction), e.g. `P(Latency <= 30 | do(CPU Frequency = 2.0))`.
 
@@ -53,8 +53,8 @@ pub use plan::{
 };
 pub use queries::{PerformanceQuery, QueryAnswer};
 pub use repair::{
-    generate_repairs, generate_repairs_cached, ice, rank_repairs, rank_repairs_planned,
-    root_cause_candidates, root_cause_candidates_planned, QosGoal, Repair, RepairOptions,
+    generate_repairs, generate_repairs_cached, ice, rank_repairs, root_cause_candidates, QosGoal,
+    Repair, RepairOptions,
 };
-pub use scm::{FittedScm, ResidualMode, SimulationOptions, SIM_LANES};
+pub use scm::{FittedScm, ResidualMode, SIM_LANES};
 pub use sweep_cache::{sweep_cache_enabled, SweepCache, DEFAULT_SWEEP_CACHE_CAPACITY};

@@ -39,6 +39,10 @@
 //!    the caller's thread. Determinism then holds by construction: plan
 //!    items are pure functions of the fit, and the merge never depends on
 //!    completion order.
+//!
+//! A [`crate::PerformanceQuery`] kind writes steps 1 and 3 once, as the
+//! rounds of a [`crate::CoalescedQuery`], and [`crate::answer_coalesced`]
+//! does step 2 for every query in flight.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -47,7 +51,6 @@ use unicorn_graph::NodeId;
 
 use crate::ace::ValueDomain;
 use crate::repair::QosGoal;
-use crate::scm::SimulationOptions;
 
 /// A predicate over a simulated target value (probability reductions).
 pub type ValuePred = Arc<dyn Fn(f64) -> bool + Send + Sync>;
@@ -194,7 +197,6 @@ pub struct QueryPlan {
     pub(crate) consumers: Vec<Reduction>,
     /// Dedup of scalar consumers.
     consumer_index: HashMap<ConsumerKey, usize>,
-    pub(crate) opts: SimulationOptions,
 }
 
 /// Canonicalizes a `do(·)` assignment list: first occurrence per node wins
@@ -211,18 +213,9 @@ fn canonical_assignments(assignments: &[(NodeId, f64)]) -> Vec<(NodeId, f64)> {
 }
 
 impl QueryPlan {
-    /// An empty plan with default [`SimulationOptions`] (the strides every
-    /// legacy serial loop used).
+    /// An empty plan.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty plan with explicit sweep options.
-    pub fn with_options(opts: SimulationOptions) -> Self {
-        Self {
-            opts,
-            ..Self::default()
-        }
     }
 
     /// Number of registered plan items (reductions).
@@ -377,11 +370,11 @@ impl QueryPlan {
 /// request's own handle order.
 ///
 /// **Bit-identity:** a reduction reads only its own sweep's simulations,
-/// which are pure functions of `(fit, canonical assignments, mode,
-/// stride)`, and `evaluate_plan` folds each consumer's per-row
-/// contributions in ascending row order regardless of what else is in
-/// the plan — so every demuxed answer is bit-identical to evaluating
-/// that request's plan alone (`tests/serve_coalescing.rs`).
+/// which are pure functions of `(fit, canonical assignments, mode)`, and
+/// `evaluate_plan` folds each consumer's per-row contributions in
+/// ascending row order regardless of what else is in the plan — so
+/// every demuxed answer is bit-identical to evaluating that request's
+/// plan alone (`tests/serve_coalescing.rs`).
 #[derive(Debug, Clone, Default)]
 pub struct PlanBatch {
     merged: QueryPlan,
@@ -391,33 +384,22 @@ pub struct PlanBatch {
 }
 
 impl PlanBatch {
-    /// An empty batch with default [`SimulationOptions`].
+    /// An empty batch.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty batch with explicit sweep options; every added plan must
-    /// have been compiled with equal options.
-    pub fn with_options(opts: SimulationOptions) -> Self {
-        Self {
-            merged: QueryPlan::with_options(opts),
-            requests: Vec::new(),
-        }
-    }
-
     /// Merges a compiled request plan into the batch, returning its slot
     /// (pass it back to [`PlanBatch::demux`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `plan` was compiled with different
-    /// [`SimulationOptions`] than the batch — merged sweeps share one
-    /// stride, so differing options would silently change answers.
     pub fn add(&mut self, plan: &QueryPlan) -> usize {
-        assert_eq!(
-            plan.opts, self.merged.opts,
-            "merged plans must share SimulationOptions"
-        );
+        if self.requests.is_empty() {
+            // Replaying an already-deduplicated plan into an empty batch
+            // rebuilds it exactly, so the first plan is taken as-is.
+            self.merged = plan.clone();
+            self.requests
+                .push((0..plan.consumers.len()).map(PlanHandle).collect());
+            return 0;
+        }
         // Replay sweeps in the request's registration order (assignments
         // are already canonical; re-canonicalizing is idempotent).
         let sweep_map: Vec<usize> = plan
@@ -483,11 +465,6 @@ impl PlanBatch {
     /// The merged plan, ready for [`crate::FittedScm::evaluate_plan`].
     pub fn merged(&self) -> &QueryPlan {
         &self.merged
-    }
-
-    /// Number of admitted request plans.
-    pub fn n_requests(&self) -> usize {
-        self.requests.len()
     }
 
     /// Projects the merged results back into request `slot`'s own

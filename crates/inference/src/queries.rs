@@ -4,16 +4,14 @@
 //! "what is the probability of satisfying QoS if Buffer Size is set to
 //! 6k?"); the engine translates them into causal queries (do-expressions,
 //! counterfactuals) over the learned causal performance model and answers
-//! them, or reports them unidentifiable.
-
-use std::sync::Arc;
+//! them, or reports them unidentifiable. This module holds the query and
+//! answer types and the engine's `estimate` entry points; how each query
+//! kind compiles into plans lives in one place, `coalesce`.
 
 use unicorn_graph::NodeId;
 
-use crate::ace::{ace_of_handles, plan_ace};
+use crate::coalesce::answer_coalesced;
 use crate::engine::CausalEngine;
-use crate::identify::identifiable;
-use crate::plan::QueryPlan;
 use crate::repair::{QosGoal, Repair};
 
 /// A user-facing performance query.
@@ -84,116 +82,22 @@ pub enum QueryAnswer {
 }
 
 impl CausalEngine {
-    /// Estimates a performance query against the learned model. Scalar
-    /// queries compile into a (single-item or per-value) [`QueryPlan`] and
-    /// run through the batched evaluator; [`Self::estimate_all`] batches
-    /// several of them into one plan.
+    /// Estimates one performance query: the one-query case of
+    /// [`Self::estimate_all`].
     pub fn estimate(&self, query: &PerformanceQuery) -> QueryAnswer {
         self.estimate_all(std::slice::from_ref(query))
             .pop()
             .expect("one answer per query")
     }
 
-    /// Estimates a whole set of performance queries as **one** compiled
-    /// plan: repeated interventional sweeps across the queries (the same
-    /// `do(·)` asked about different objectives, overlapping ACE grids)
-    /// are simulated once, and answers come back in query order —
-    /// bit-identical to estimating each query alone.
-    ///
-    /// `RootCauses` / `Repairs` queries run their own engine batches (they
-    /// rank and mine paths, not just estimate scalars) and are answered in
-    /// place.
+    /// Estimates a set of performance queries through the one query
+    /// path ([`answer_coalesced`]): every round of every query merges
+    /// into one plan batch, so repeated interventional sweeps across the
+    /// queries (the same `do(·)` asked about different objectives,
+    /// overlapping ACE grids) are simulated once. Answers come back in
+    /// query order, bit-identical to estimating each query alone.
     pub fn estimate_all(&self, queries: &[PerformanceQuery]) -> Vec<QueryAnswer> {
-        /// How a query's answer reads out of the evaluated plan.
-        enum Pending {
-            Done(QueryAnswer),
-            Probability(crate::plan::PlanHandle),
-            Expectation(crate::plan::PlanHandle),
-            Effect(Option<Vec<crate::plan::PlanHandle>>),
-        }
-        let mut cache = self.domain_cache();
-        let mut plan = QueryPlan::new();
-        let pending: Vec<Pending> = queries
-            .iter()
-            .map(|query| match query {
-                PerformanceQuery::RootCauses { goal } => {
-                    Pending::Done(QueryAnswer::RootCauses(self.rank_root_causes(goal)))
-                }
-                PerformanceQuery::Repairs { goal, fault_row } => Pending::Done(
-                    QueryAnswer::Repairs(self.recommend_repairs(goal, *fault_row)),
-                ),
-                PerformanceQuery::ProbabilityOfQos {
-                    interventions,
-                    objective,
-                    threshold,
-                } => {
-                    for &(x, _) in interventions {
-                        if !identifiable(self.scm().admg(), x, *objective) {
-                            return Pending::Done(QueryAnswer::Unidentifiable {
-                                cause: x,
-                                effect: *objective,
-                            });
-                        }
-                    }
-                    let t = *threshold;
-                    Pending::Probability(plan.probability(
-                        *objective,
-                        interventions,
-                        0,
-                        0.0,
-                        Arc::new(move |y| y <= t),
-                    ))
-                }
-                PerformanceQuery::ExpectedObjective {
-                    interventions,
-                    objective,
-                } => {
-                    for &(x, _) in interventions {
-                        if !identifiable(self.scm().admg(), x, *objective) {
-                            return Pending::Done(QueryAnswer::Unidentifiable {
-                                cause: x,
-                                effect: *objective,
-                            });
-                        }
-                    }
-                    Pending::Expectation(plan.expectation(*objective, interventions))
-                }
-                PerformanceQuery::CausalEffect { option, objective } => {
-                    if !identifiable(self.scm().admg(), *option, *objective) {
-                        return Pending::Done(QueryAnswer::Unidentifiable {
-                            cause: *option,
-                            effect: *objective,
-                        });
-                    }
-                    Pending::Effect(plan_ace(
-                        &mut plan,
-                        *objective,
-                        *option,
-                        &cache.values(*option),
-                    ))
-                }
-            })
-            .collect();
-        let results = (plan.n_items() > 0).then(|| self.scm().evaluate_plan(&plan));
-        pending
-            .into_iter()
-            .map(|p| match p {
-                Pending::Done(a) => a,
-                Pending::Probability(h) => {
-                    QueryAnswer::Probability(results.as_ref().expect("plan evaluated").scalar(h))
-                }
-                Pending::Expectation(h) => {
-                    QueryAnswer::Expectation(results.as_ref().expect("plan evaluated").scalar(h))
-                }
-                // Fewer than two permissible values: the legacy path's 0.0
-                // short-circuit, no plan evaluation needed.
-                Pending::Effect(None) => QueryAnswer::Effect(0.0),
-                Pending::Effect(hs @ Some(_)) => QueryAnswer::Effect(ace_of_handles(
-                    results.as_ref().expect("plan evaluated"),
-                    &hs,
-                )),
-            })
-            .collect()
+        answer_coalesced(self, queries)
     }
 }
 

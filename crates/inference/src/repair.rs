@@ -15,7 +15,7 @@
 
 use unicorn_graph::{NodeId, TierConstraints, VarKind};
 
-use crate::ace::{rank_causal_paths, rank_causal_paths_planned, ValueDomain};
+use crate::ace::{rank_causal_paths, RankedPath, ValueDomain};
 use crate::plan::{DomainCache, QueryPlan};
 use crate::scm::FittedScm;
 
@@ -83,6 +83,9 @@ impl Default for RepairOptions {
 /// Collects the configuration options lying on the top-K causal paths into
 /// the goal objectives — the candidate root causes (§4: "the configurations
 /// in this path are more likely to be associated with the root cause").
+///
+/// Legacy serial reference path — the engine mines paths in the
+/// rounds of `coalesce`, under the same `collect_candidates` rule.
 pub fn root_cause_candidates(
     scm: &FittedScm,
     goal: &QosGoal,
@@ -90,46 +93,30 @@ pub fn root_cause_candidates(
     domain: &dyn ValueDomain,
     opts: &RepairOptions,
 ) -> Vec<NodeId> {
-    collect_candidates(goal, tiers, |objective| {
-        rank_causal_paths(scm, objective, domain, opts.top_k_paths, opts.path_cap)
-    })
-}
-
-/// [`root_cause_candidates`] through the planner: each objective's path
-/// ranking is one compiled, deduplicated batch
-/// ([`rank_causal_paths_planned`]); the candidate collection order is the
-/// serial path's, bit for bit.
-pub fn root_cause_candidates_planned(
-    scm: &FittedScm,
-    goal: &QosGoal,
-    tiers: &TierConstraints,
-    cache: &mut DomainCache<'_>,
-    opts: &RepairOptions,
-) -> Vec<NodeId> {
-    collect_candidates(goal, tiers, |objective| {
-        rank_causal_paths_planned(scm, objective, cache, opts.top_k_paths, opts.path_cap)
-    })
-}
-
-/// The one candidate-collection rule (first-seen configuration options on
-/// the top-ranked paths of every goal objective), shared by the legacy and
-/// planned entry points so the collection order cannot drift between them.
-fn collect_candidates(
-    goal: &QosGoal,
-    tiers: &TierConstraints,
-    mut rank: impl FnMut(NodeId) -> Vec<crate::ace::RankedPath>,
-) -> Vec<NodeId> {
-    let mut found: Vec<NodeId> = Vec::new();
+    let mut found = Vec::new();
     for &(objective, _) in &goal.thresholds {
-        for ranked in rank(objective) {
-            for &node in &ranked.path.nodes {
-                if tiers.kind(node) == VarKind::ConfigOption && !found.contains(&node) {
-                    found.push(node);
-                }
+        let ranked = rank_causal_paths(scm, objective, domain, opts.top_k_paths, opts.path_cap);
+        collect_candidates(&mut found, &ranked, tiers);
+    }
+    found
+}
+
+/// The one candidate-collection rule: appends the configuration options
+/// on one goal objective's top-ranked paths to `found`, first seen first.
+/// Shared by [`root_cause_candidates`] and `coalesce`, so the collection
+/// order cannot drift between them.
+pub(crate) fn collect_candidates(
+    found: &mut Vec<NodeId>,
+    ranked: &[RankedPath],
+    tiers: &TierConstraints,
+) {
+    for rp in ranked {
+        for &node in &rp.path.nodes {
+            if tiers.kind(node) == VarKind::ConfigOption && !found.contains(&node) {
+                found.push(node);
             }
         }
     }
-    found
 }
 
 /// Generates the repair set R = R₁ ∪ … ∪ Rₖ (Eqs 3–4): for each candidate
@@ -204,7 +191,8 @@ pub fn generate_repairs_cached(
 /// improvement of the goal objectives.
 ///
 /// Legacy serial reference path (one ICE sweep and one counterfactual per
-/// repair) — the engine uses [`rank_repairs_planned`].
+/// repair) — the engine ranks through `compile_repair_rank` and
+/// `finish_repair_rank` in `coalesce`.
 pub fn rank_repairs(
     scm: &FittedScm,
     goal: &QosGoal,
@@ -224,7 +212,7 @@ pub fn rank_repairs(
 
 /// The counterfactual relative improvement of the goal objectives — the
 /// single definition shared by [`rank_repairs`] and
-/// [`rank_repairs_planned`], so a scoring tweak cannot desynchronize the
+/// [`finish_repair_rank`], so a scoring tweak cannot desynchronize the
 /// two paths' bit-identity contract.
 fn improvement_of(goal: &QosGoal, factual: &[f64], cf: &[f64]) -> f64 {
     goal.thresholds
@@ -250,28 +238,11 @@ fn sort_repairs(repairs: &mut [Repair]) {
     });
 }
 
-/// [`rank_repairs`] through one compiled plan: the factual counterfactual,
-/// every repair's ICE sweep, and every repair's counterfactual compile
-/// into a single deduplicated batch (repairs proposing the same
-/// assignment set share their sweeps), one `evaluate_plan` answers them
-/// all, and the scoring/sorting arithmetic is the serial path's — so the
-/// ranked list is bit-identical at any thread count.
-pub fn rank_repairs_planned(
-    scm: &FittedScm,
-    goal: &QosGoal,
-    fault_row: usize,
-    repairs: Vec<Repair>,
-    opts: &RepairOptions,
-) -> Vec<Repair> {
-    let mut plan = QueryPlan::new();
-    let comp = compile_repair_rank(&mut plan, goal, fault_row, &repairs, opts);
-    let results = scm.evaluate_plan(&plan);
-    finish_repair_rank(comp, goal, repairs, &results)
-}
-
-/// The compile half of a repair ranking: the factual counterfactual
-/// handle plus per-repair `(ICE, counterfactual)` handles. Finish with
-/// [`finish_repair_rank`] once the plan has been evaluated.
+/// The compile half of [`rank_repairs`] through the planner: the factual
+/// counterfactual handle plus per-repair `(ICE, counterfactual)` handles.
+/// Finish with [`finish_repair_rank`] once the plan has been evaluated;
+/// the scoring/sorting arithmetic is the serial path's, so the ranked
+/// list is bit-identical at any thread count.
 pub(crate) struct RepairRankCompilation {
     factual: crate::plan::PlanHandle,
     handles: Vec<(crate::plan::PlanHandle, crate::plan::PlanHandle)>,

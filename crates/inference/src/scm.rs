@@ -46,16 +46,6 @@ use unicorn_stats::regression::{fit_gram, PolyModel, Term, TermGram};
 use unicorn_stats::segment::Segment;
 use unicorn_stats::StatsError;
 
-/// Options for batch simulation sweeps ([`FittedScm::simulate_batch`] and
-/// the `_with` query variants).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SimulationOptions {
-    /// Sweep stride override: visit every `stride`-th training row.
-    /// `None` keeps the fitted default (`max(n / 256, 1)`), which bounds
-    /// sweep cost on large samples.
-    pub stride: Option<usize>,
-}
-
 /// How residual noise is injected during simulation.
 #[derive(Debug, Clone, Copy)]
 pub enum ResidualMode {
@@ -728,9 +718,8 @@ impl FittedScm {
     }
 
     /// The strided sweep-row indices a g-formula query visits.
-    pub(crate) fn sweep_rows(&self, opts: &SimulationOptions) -> Vec<usize> {
-        let stride = opts.stride.unwrap_or(self.stride).max(1);
-        (0..self.n_rows()).step_by(stride).collect()
+    fn sweep_rows(&self) -> Vec<usize> {
+        (0..self.n_rows()).step_by(self.stride).collect()
     }
 
     /// Executes a compiled [`QueryPlan`]: one topological baseline sweep
@@ -760,8 +749,8 @@ impl FittedScm {
         const ROW_SWEEP_CHUNK: usize = 8;
 
         let n_vars = self.n_vars();
-        let strided = self.sweep_rows(&plan.opts);
-        let stride = plan.opts.stride.unwrap_or(self.stride).max(1);
+        let strided = self.sweep_rows();
+        let stride = self.stride;
         let epoch = self.data.epoch();
 
         // Probe phase: look every sweep up at this fit's epoch. A `Some`
@@ -1051,29 +1040,19 @@ impl FittedScm {
     /// Interventional expectation `E[target | do(interventions)]`,
     /// estimated by the empirical g-formula: sweep the training rows
     /// (strided), treat each row's exogenous vector as one Monte-Carlo
-    /// draw, and average the simulated target.
+    /// draw, and average the simulated target. The batch row evaluation
+    /// fans out over the pool; the average folds the ordered per-row
+    /// values sequentially, so the result is bit-identical to the serial
+    /// sweep.
     pub fn interventional_expectation(
         &self,
         target: NodeId,
         interventions: &[(NodeId, f64)],
     ) -> f64 {
-        self.interventional_expectation_with(target, interventions, &SimulationOptions::default())
-    }
-
-    /// [`Self::interventional_expectation`] with explicit
-    /// [`SimulationOptions`]. The batch row evaluation fans out over the
-    /// pool; the average folds the ordered per-row values sequentially, so
-    /// the result is bit-identical to the serial sweep.
-    pub fn interventional_expectation_with(
-        &self,
-        target: NodeId,
-        interventions: &[(NodeId, f64)],
-        opts: &SimulationOptions,
-    ) -> f64 {
         if self.n_rows() == 0 {
             return 0.0;
         }
-        let rows = self.sweep_rows(opts);
+        let rows = self.sweep_rows();
         let vals = self.simulate_batch(&rows, interventions, ResidualMode::FromRow);
         let total: f64 = vals.iter().map(|v| v[target]).sum();
         total / rows.len() as f64
@@ -1091,31 +1070,10 @@ impl FittedScm {
         weight: f64,
         pred: &dyn Fn(f64) -> bool,
     ) -> f64 {
-        self.interventional_probability_with(
-            target,
-            interventions,
-            abduct_row,
-            weight,
-            pred,
-            &SimulationOptions::default(),
-        )
-    }
-
-    /// [`Self::interventional_probability`] with explicit
-    /// [`SimulationOptions`] (batch row evaluation over the pool).
-    pub fn interventional_probability_with(
-        &self,
-        target: NodeId,
-        interventions: &[(NodeId, f64)],
-        abduct_row: usize,
-        weight: f64,
-        pred: &dyn Fn(f64) -> bool,
-        opts: &SimulationOptions,
-    ) -> f64 {
         if self.n_rows() == 0 {
             return 0.0;
         }
-        let rows = self.sweep_rows(opts);
+        let rows = self.sweep_rows();
         let vals = self.simulate_batch(&rows, interventions, |_| ResidualMode::Blend {
             abduct_row,
             weight,
@@ -1345,26 +1303,14 @@ mod tests {
     #[test]
     fn batch_sweep_matches_serial_loop() {
         let scm = chain_scm(600);
-        // The batch (pool) sweep must reproduce the serial fold bit for
-        // bit, and an explicit stride of 1 must visit every row.
+        // The batch (pool) sweep must reproduce the serial fold bit for bit.
         let e_default = scm.interventional_expectation(2, &[(0, 1.0)]);
-        let e_again =
-            scm.interventional_expectation_with(2, &[(0, 1.0)], &SimulationOptions::default());
-        assert_eq!(e_default.to_bits(), e_again.to_bits());
         let rows: Vec<usize> = (0..scm.n_rows()).step_by(scm.stride).collect();
         let batch = scm.simulate_batch(&rows, &[(0, 1.0)], ResidualMode::FromRow);
         let total: f64 = batch.iter().map(|v| v[2]).sum();
         assert_eq!((total / rows.len() as f64).to_bits(), e_default.to_bits());
         let p = scm.interventional_probability(2, &[(0, 1.0)], 0, 0.0, &|y| y < -3.0);
-        let p_strided = scm.interventional_probability_with(
-            2,
-            &[(0, 1.0)],
-            0,
-            0.0,
-            &|y| y < -3.0,
-            &SimulationOptions { stride: Some(1) },
-        );
-        assert!(p > 0.9 && p_strided > 0.9);
+        assert!(p > 0.9);
     }
 
     #[test]

@@ -4,40 +4,22 @@
 //! zero at roughly unit scale (they are normalized by the training
 //! residual RMS). An environment shift — new hardware, a workload-scale
 //! flip — moves the residual mean away from zero, and a sequential
-//! change detector notices. Two classic detectors are provided, both
-//! pure folds over the residual stream (no clocks, no randomness), so
-//! the trigger row is a deterministic function of the rows alone:
-//!
-//! * [`PageHinkley`] — tracks the cumulative deviation of each sample
-//!   from the running mean, minus a drift allowance `delta`; triggers
-//!   when the cumulation departs more than `lambda` from its running
-//!   extremum (two-sided).
-//! * [`Cusum`] — the tabular CUSUM pair: one-sided upper/lower sums
-//!   clamped at zero with slack `delta`, triggering when either exceeds
-//!   `lambda`.
+//! change detector notices: [`PageHinkley`], a pure fold over the
+//! residual stream (no clocks, no randomness), so the trigger row is a
+//! deterministic function of the rows alone. It tracks the cumulative
+//! deviation of each sample from the running mean, minus a drift
+//! allowance `delta`, and triggers when the cumulation departs more than
+//! `lambda` from its running extremum (two-sided).
 //!
 //! [`DriftBank`] runs one detector per objective and reports the first
 //! objective that trips (lowest index wins on ties — a fixed scan
 //! order, so multi-objective triggering is deterministic too).
-//!
-//! See the crate docs for the recipe to add a detector kind.
-
-/// Which sequential change detector to run per objective.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DetectorKind {
-    /// Page-Hinkley cumulative-deviation test (default).
-    PageHinkley,
-    /// Tabular CUSUM (one-sided pair, clamped at zero).
-    Cusum,
-}
 
 /// Deterministic drift-detection thresholds. All magnitudes are in units
 /// of the training residual RMS (the ingest pipeline normalizes residuals
 /// before they reach a detector).
 #[derive(Debug, Clone, Copy)]
 pub struct DriftOptions {
-    /// Detector run per objective.
-    pub detector: DetectorKind,
     /// Drift allowance / slack per sample (RMS units): deviations smaller
     /// than this accumulate nothing, making the detectors robust to the
     /// fitted model's ordinary noise floor.
@@ -56,7 +38,6 @@ pub struct DriftOptions {
 impl Default for DriftOptions {
     fn default() -> Self {
         Self {
-            detector: DetectorKind::PageHinkley,
             delta: 0.1,
             lambda: 8.0,
             min_rows: 12,
@@ -118,90 +99,18 @@ impl PageHinkley {
     }
 }
 
-/// Tabular CUSUM state for one objective.
-#[derive(Debug, Clone)]
-pub struct Cusum {
-    delta: f64,
-    lambda: f64,
-    min_rows: usize,
-    n: u64,
-    up: f64,
-    down: f64,
-}
-
-impl Cusum {
-    /// Fresh detector state with the given thresholds.
-    pub fn new(delta: f64, lambda: f64, min_rows: usize) -> Self {
-        Self {
-            delta,
-            lambda,
-            min_rows,
-            n: 0,
-            up: 0.0,
-            down: 0.0,
-        }
-    }
-
-    /// Folds one normalized residual; true when either side trips.
-    ///
-    /// The reference level is zero by construction: residuals of a
-    /// well-fitted model are centered there, so no running mean is
-    /// needed (and the test reacts faster than Page-Hinkley to a mean
-    /// shift, at the cost of more sensitivity to heavy tails).
-    pub fn update(&mut self, x: f64) -> bool {
-        self.n += 1;
-        self.up = (self.up + x - self.delta).max(0.0);
-        self.down = (self.down - x - self.delta).max(0.0);
-        self.n as usize >= self.min_rows && (self.up > self.lambda || self.down > self.lambda)
-    }
-
-    /// Back to the fresh state (after a relearn re-baselines residuals).
-    pub fn reset(&mut self) {
-        *self = Self::new(self.delta, self.lambda, self.min_rows);
-    }
-}
-
-/// One detector instance, kind-erased for the bank. An enum rather than
-/// a trait object keeps the per-row hot path free of dynamic dispatch
-/// and the whole bank `Clone` (see the crate-docs recipe for adding a
-/// kind).
-#[derive(Debug, Clone)]
-enum Detector {
-    Ph(PageHinkley),
-    Cu(Cusum),
-}
-
-impl Detector {
-    fn new(opts: &DriftOptions) -> Self {
-        match opts.detector {
-            DetectorKind::PageHinkley => {
-                Detector::Ph(PageHinkley::new(opts.delta, opts.lambda, opts.min_rows))
-            }
-            DetectorKind::Cusum => Detector::Cu(Cusum::new(opts.delta, opts.lambda, opts.min_rows)),
-        }
-    }
-
-    fn update(&mut self, x: f64) -> bool {
-        match self {
-            Detector::Ph(d) => d.update(x),
-            Detector::Cu(d) => d.update(x),
-        }
-    }
-}
-
 /// One detector per objective, observed in lockstep per row.
 #[derive(Debug, Clone)]
 pub struct DriftBank {
-    detectors: Vec<Detector>,
-    opts: DriftOptions,
+    detectors: Vec<PageHinkley>,
 }
 
 impl DriftBank {
     /// A bank of `n_objectives` fresh detectors.
     pub fn new(n_objectives: usize, opts: &DriftOptions) -> Self {
+        let detector = PageHinkley::new(opts.delta, opts.lambda, opts.min_rows);
         Self {
-            detectors: (0..n_objectives).map(|_| Detector::new(opts)).collect(),
-            opts: *opts,
+            detectors: vec![detector; n_objectives],
         }
     }
 
@@ -232,9 +141,8 @@ impl DriftBank {
     /// Resets every detector to fresh state (after a relearn publishes a
     /// new model and the residual baseline moves).
     pub fn reset(&mut self) {
-        let opts = self.opts;
         for d in &mut self.detectors {
-            *d = Detector::new(&opts);
+            d.reset();
         }
     }
 
@@ -280,37 +188,13 @@ mod tests {
     }
 
     #[test]
-    fn cusum_ignores_noise_and_catches_a_mean_shift() {
-        let opts = DriftOptions {
-            detector: DetectorKind::Cusum,
-            delta: 1.0,
-            ..DriftOptions::default()
-        };
-        let noise: Vec<f64> = (0..200)
-            .map(|i| if i % 2 == 0 { 0.9 } else { -0.9 })
-            .collect();
-        assert_eq!(trigger_row(&opts, &noise), None);
-        let mut shifted = noise.clone();
-        shifted.extend((0..100).map(|_| 3.0));
-        let row = trigger_row(&opts, &shifted).expect("shift must trigger");
-        assert!(row >= 200, "trigger {row} before the planted shift");
-    }
-
-    #[test]
     fn detectors_are_two_sided() {
-        for kind in [DetectorKind::PageHinkley, DetectorKind::Cusum] {
-            let opts = DriftOptions {
-                detector: kind,
-                ..DriftOptions::default()
-            };
-            // A settled zero baseline, then a −3·RMS shift.
-            let mut down: Vec<f64> = vec![0.0; 20];
-            down.extend(std::iter::repeat_n(-3.0, 50));
-            let row = trigger_row(&opts, &down).unwrap_or_else(|| {
-                panic!("{kind:?} must catch a downward shift");
-            });
-            assert!(row >= 20, "{kind:?} triggered at {row}, before the shift");
-        }
+        let opts = DriftOptions::default();
+        // A settled zero baseline, then a −3·RMS shift.
+        let mut down: Vec<f64> = vec![0.0; 20];
+        down.extend(std::iter::repeat_n(-3.0, 50));
+        let row = trigger_row(&opts, &down).expect("must catch a downward shift");
+        assert!(row >= 20, "triggered at {row}, before the shift");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!                                                │ per row
 //!                                                ▼
 //!          ┌─────────────────────── IngestPipeline ───────────────────────┐
-//!          │ residuals vs pinned SCM ─▶ DriftBank (Page-Hinkley / CUSUM)  │
+//!          │ residuals vs pinned SCM ─▶ DriftBank (Page-Hinkley)          │
 //!          │ record_row (staged fold) ─▶ on trigger or max staleness:     │
 //!          │   relearn ▶ publish_snapshot ▶ SnapshotCell.publish (flip)   │
 //!          └──────────────────────────────────────────────────────────────┘
@@ -42,23 +42,19 @@
 //!   the flush are scored against the freshly published model, so the
 //!   trigger row never depends on where a flush boundary fell.
 //!
-//! # Adding a detector
+//! # The detector
 //!
-//! Detectors are deliberately plain state machines, not trait objects —
-//! an enum keeps them `Clone`, comparable, and free of dynamic dispatch
-//! in the per-row hot path. To add one:
-//!
-//! 1. Add a variant to [`DetectorKind`] and a state struct alongside
-//!    [`PageHinkley`]/[`Cusum`] in `drift.rs`. Its `update(&mut self, x)
-//!    -> bool` must be a pure fold over the normalized residual stream —
-//!    no clocks, no randomness, no allocation-order dependence.
-//! 2. Wire the variant into `Detector::new` and `Detector::update` in
-//!    `drift.rs` (one match arm each).
-//! 3. Give its knobs defaults in [`DriftOptions`] (reuse `delta`/`lambda`
-//!    where the semantics fit — bias and threshold in RMS units).
-//! 4. Extend `drift_trigger_is_chunk_invariant` in
-//!    `tests/ingest_drift_determinism.rs` with the new kind: the proptest
-//!    already asserts chunk- and pool-invariance for every kind it sweeps.
+//! [`DriftBank`] runs one [`PageHinkley`] per objective: a plain state
+//! machine, `Clone` and free of dynamic dispatch in the per-row hot
+//! path, whose `update(&mut self, x) -> bool` is a pure fold over the
+//! normalized residual stream — no clocks, no randomness, no
+//! allocation-order dependence. A change to the detector must keep that
+//! fold pure; `drift_fold_is_chunk_invariant` in
+//! `tests/ingest_drift_determinism.rs` then asserts that no flush
+//! boundary or pool width moves a trigger row, and
+//! `fixed_chunkings_and_pools_reproduce_the_reference_fold` pins the
+//! fold to one reference run. Its thresholds live in [`DriftOptions`]
+//! (`delta`/`lambda` in RMS units).
 //!
 //! The serving integration (`unicorn_serve`) needs no change: it stores a
 //! [`DriftOptions`] in its `ServeConfig` and everything downstream is
@@ -68,7 +64,7 @@ pub mod drift;
 pub mod pipeline;
 pub mod queue;
 
-pub use drift::{Cusum, DetectorKind, DriftBank, DriftOptions, PageHinkley};
+pub use drift::{DriftBank, DriftOptions, PageHinkley};
 pub use pipeline::{
     DriftStats, IngestEndpoint, IngestPipeline, IngestRouter, IngestWorker, RelearnEvent,
     RelearnReason,

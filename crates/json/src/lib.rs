@@ -175,7 +175,10 @@ impl Parser<'_> {
     /// to go past [`MAX_DEPTH`].
     fn nested(&mut self, parse_it: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
         if self.depth == MAX_DEPTH {
-            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.at));
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.at
+            ));
         }
         self.depth += 1;
         let value = parse_it(self);

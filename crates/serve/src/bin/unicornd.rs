@@ -148,12 +148,11 @@ fn main() -> ExitCode {
     }
 
     eprintln!(
-        "unicornd: serving on {} (threads {}, sweep_cache {}, ingest buffer {} rows, drift {:?})",
+        "unicornd: serving on {} (threads {}, sweep_cache {}, ingest buffer {} rows)",
         server.addr(),
         config.threads,
         config.sweep_cache,
         config.ingest_buffer,
-        config.drift.detector,
     );
     loop {
         std::thread::sleep(Duration::from_secs(3600));

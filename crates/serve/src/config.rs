@@ -17,7 +17,6 @@
 //! | `UNICORN_THREADS` | cores, capped at 16 | worker-pool width (resolved by `unicorn_exec`) |
 //! | `UNICORN_SWEEP_CACHE` | on | `off`/`0`/`false` disables the sweep cache (resolved by `unicorn_inference`) |
 //! | `UNICORN_INGEST_BUFFER` | `1024` | bounded ingest buffer capacity (rows) |
-//! | `UNICORN_DRIFT_DETECTOR` | `page_hinkley` | `page_hinkley` or `cusum` |
 //! | `UNICORN_DRIFT_DELTA` | `0.1` | per-sample drift allowance (RMS units) |
 //! | `UNICORN_DRIFT_LAMBDA` | `8` | trigger threshold (RMS units) |
 //! | `UNICORN_DRIFT_MIN_ROWS` | `12` | cold-start gate before a detector may trigger |
@@ -30,7 +29,7 @@
 
 use std::time::Duration;
 
-use unicorn_ingest::{DetectorKind, DriftOptions};
+use unicorn_ingest::DriftOptions;
 
 /// Everything `unicornd` is configured by, parsed once at boot.
 #[derive(Debug, Clone)]
@@ -68,19 +67,6 @@ impl ServeConfig {
             }
         }
         let defaults = DriftOptions::default();
-        let detector = match std::env::var("UNICORN_DRIFT_DETECTOR") {
-            Err(_) => defaults.detector,
-            Ok(v) => match v.trim() {
-                "page_hinkley" => DetectorKind::PageHinkley,
-                "cusum" => DetectorKind::Cusum,
-                other => {
-                    return Err(format!(
-                        "UNICORN_DRIFT_DETECTOR: unknown detector {other:?} \
-                         (expected \"page_hinkley\" or \"cusum\")"
-                    ))
-                }
-            },
-        };
         let config = Self {
             addr: std::env::var("UNICORN_ADDR").unwrap_or_else(|_| "127.0.0.1:7077".into()),
             window: Duration::ZERO,
@@ -88,7 +74,6 @@ impl ServeConfig {
             sweep_cache: unicorn_inference::sweep_cache_enabled(),
             ingest_buffer: parsed("UNICORN_INGEST_BUFFER", 1024usize)?,
             drift: DriftOptions {
-                detector,
                 delta: parsed("UNICORN_DRIFT_DELTA", defaults.delta)?,
                 lambda: parsed("UNICORN_DRIFT_LAMBDA", defaults.lambda)?,
                 min_rows: parsed("UNICORN_DRIFT_MIN_ROWS", defaults.min_rows)?,
@@ -136,14 +121,11 @@ mod tests {
         assert_eq!(config.window, Duration::ZERO);
         assert!(config.threads >= 1);
         assert_eq!(config.ingest_buffer, 1024);
-        assert_eq!(config.drift.detector, DetectorKind::PageHinkley);
         assert_eq!(config.drift.max_staleness_rows, 256);
 
-        std::env::set_var("UNICORN_DRIFT_DETECTOR", "cusum");
         std::env::set_var("UNICORN_DRIFT_LAMBDA", "4.5");
         std::env::set_var("UNICORN_INGEST_BUFFER", "64");
         let config = ServeConfig::from_env().expect("overridden env parses");
-        assert_eq!(config.drift.detector, DetectorKind::Cusum);
         assert_eq!(config.drift.lambda, 4.5);
         assert_eq!(config.ingest_buffer, 64);
 
@@ -153,7 +135,6 @@ mod tests {
         std::env::set_var("UNICORN_DRIFT_LAMBDA", "-1");
         assert!(ServeConfig::from_env().is_err(), "negative lambda rejected");
 
-        std::env::remove_var("UNICORN_DRIFT_DETECTOR");
         std::env::remove_var("UNICORN_DRIFT_LAMBDA");
         std::env::remove_var("UNICORN_INGEST_BUFFER");
     }

@@ -59,7 +59,7 @@
 //!   measurement rows enter a bounded per-tenant `IngestQueue` via
 //!   `POST /v1/tenants/:id/ingest` (explicit backpressure when full); a
 //!   background worker folds flushes into the tenant's `UnicornState`,
-//!   watches Page-Hinkley/CUSUM detectors over SCM prediction residuals,
+//!   watches Page-Hinkley detectors over SCM prediction residuals,
 //!   and on a trigger (or the max-staleness fallback) relearns off-thread
 //!   and publishes the next epoch with a pointer flip. The tenant's
 //!   `/v1/` stats carry the ingest/drift counters.
@@ -74,12 +74,13 @@
 //! can express; a new query kind threads through four small seams:
 //!
 //! 1. **Inference**: add the variant to `PerformanceQuery` /
-//!    `QueryAnswer`, and teach `unicorn_inference::coalesce` to compile
-//!    it — either a one-round scalar (emit plan items in
+//!    `QueryAnswer`, and write it once, in `unicorn_inference::coalesce`
+//!    — either a one-round scalar (emit plan items in
 //!    `CoalescedQuery::compile`, harvest them in `advance`) or a
-//!    multi-round state if it needs intermediate results. Reuse the
-//!    `compile_*`/`finish_*` pairs the engine's own entry points use so
-//!    coalesced answers cannot drift from standalone ones.
+//!    multi-round state if it needs intermediate results.
+//!    `CausalEngine::estimate` runs the same rounds, so it answers the
+//!    new kind too. Its oracle is a serial reference built from the
+//!    `ace`/`repair` free functions in `tests/query_plan_determinism.rs`.
 //! 2. **Protocol parse**: add a `"type"` arm in
 //!    [`protocol::parse_request`] mapping request JSON (nodes by name)
 //!    to the new variant.
@@ -88,8 +89,8 @@
 //!    byte-diffed in CI.
 //! 4. **Tests**: extend `tests/serve_coalescing.rs` with the new query
 //!    in the mixed workload — the proptest then proves its merged-batch
-//!    answer is bit-identical to `engine.estimate`, interleaved with an
-//!    epoch flip.
+//!    answer is bit-identical to `engine.estimate` of the query alone,
+//!    interleaved with an epoch flip.
 //!
 //! No server/admission changes are needed: routing is uniform over
 //! `PerformanceQuery`.

@@ -138,13 +138,6 @@ impl FisherZ {
         }
     }
 
-    /// Builds the test directly from a correlation matrix and sample size.
-    pub fn from_correlation(corr: Matrix, n: usize) -> Self {
-        Self {
-            backend: FisherBackend::Owned { corr, n },
-        }
-    }
-
     /// Builds the test over a shared [`DataView`]: the correlation matrix
     /// comes from the view's cache and every outcome is memoized there.
     pub fn from_view(view: &DataView) -> Self {

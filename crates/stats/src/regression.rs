@@ -6,7 +6,7 @@
 //! (ii) the functional nodes of fitted causal performance models (§3 —
 //! "we characterize the functional nodes with polynomial models").
 
-use crate::descriptive::{mape, mean, r_squared};
+use crate::descriptive::{mape, r_squared};
 use crate::matrix::Matrix;
 use crate::StatsError;
 
@@ -443,13 +443,6 @@ pub fn residuals(model: &PolyModel, columns: &[Vec<f64>], y: &[f64]) -> Vec<f64>
         .zip(y)
         .map(|(p, &a)| a - p)
         .collect()
-}
-
-/// Centers `y` and returns `(centered, mean)`; occasionally useful before
-/// fitting intercept-free models.
-pub fn center(y: &[f64]) -> (Vec<f64>, f64) {
-    let m = mean(y);
-    (y.iter().map(|v| v - m).collect(), m)
 }
 
 #[cfg(test)]

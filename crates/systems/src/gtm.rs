@@ -58,15 +58,6 @@ impl EnvExp {
         }
     }
 
-    /// GPU-bound work.
-    pub fn gpu_bound() -> Self {
-        Self {
-            gpu: -1.0,
-            workload: 1.0,
-            ..Self::default()
-        }
-    }
-
     /// Memory-bound work.
     pub fn mem_bound() -> Self {
         Self {

@@ -115,11 +115,6 @@ impl Simulator {
     pub fn true_objectives(&self, config: &Config) -> Vec<f64> {
         self.model.true_objectives(config, &self.env.params())
     }
-
-    /// Index of an objective by name.
-    pub fn objective_index(&self, name: &str) -> Option<usize> {
-        self.model.objective_names.iter().position(|n| n == name)
-    }
 }
 
 #[cfg(test)]

@@ -245,7 +245,13 @@ proptest! {
                 let repairs = repair_fingerprint(&engine.recommend_repairs(&goal, fault_row));
                 prop_assert_eq!(&repairs, &legacy.repairs, "repairs diverged ({})", &ctx);
 
-                // Scalar queries, batched through one estimate_all plan.
+                // Every query kind in one merged estimate_all batch, a
+                // repeated query included: rounds of different kinds
+                // coalesce, and each answer still matches the oracle.
+                let effect = PerformanceQuery::CausalEffect {
+                    option: 1,
+                    objective,
+                };
                 let answers = engine.estimate_all(&[
                     PerformanceQuery::ExpectedObjective {
                         interventions: vec![(0, 1.0)],
@@ -256,17 +262,46 @@ proptest! {
                         objective,
                         threshold,
                     },
-                    PerformanceQuery::CausalEffect {
-                        option: 1,
-                        objective,
+                    effect.clone(),
+                    PerformanceQuery::RootCauses { goal: goal.clone() },
+                    PerformanceQuery::Repairs {
+                        goal: goal.clone(),
+                        fault_row,
                     },
+                    effect,
                 ]);
                 match answers.as_slice() {
-                    [QueryAnswer::Expectation(e), QueryAnswer::Probability(p), QueryAnswer::Effect(a)] =>
-                    {
+                    [
+                        QueryAnswer::Expectation(e),
+                        QueryAnswer::Probability(p),
+                        QueryAnswer::Effect(a),
+                        QueryAnswer::RootCauses(rc),
+                        QueryAnswer::Repairs(repairs),
+                        QueryAnswer::Effect(a2),
+                    ] => {
                         prop_assert_eq!(bits(*e), legacy.expectation, "E diverged ({})", &ctx);
                         prop_assert_eq!(bits(*p), legacy.probability, "P diverged ({})", &ctx);
                         prop_assert_eq!(bits(*a), legacy.effect, "ACE query diverged ({})", &ctx);
+                        let rc: Vec<(usize, u64)> =
+                            rc.iter().map(|&(o, a)| (o, bits(a))).collect();
+                        prop_assert_eq!(
+                            &rc,
+                            &legacy.root_causes,
+                            "batched root causes diverged ({})",
+                            &ctx
+                        );
+                        prop_assert_eq!(
+                            &repair_fingerprint(repairs),
+                            &legacy.repairs,
+                            "batched repairs diverged ({})",
+                            &ctx
+                        );
+                        prop_assert_eq!(
+                            bits(*a2),
+                            legacy.effect,
+                            "repeated ACE query diverged ({})",
+                            &ctx
+                        );
                     }
                     other => prop_assert!(false, "unexpected answers {:?} ({})", other, &ctx),
                 }

@@ -151,7 +151,7 @@ pub fn probe_fixes(
     let diagnosed = if best_config == fault.config {
         diagnosed_options
     } else {
-        changed_options(sim, &fault.config, &best_config)
+        sim.model.space.changed_options(&fault.config, &best_config)
     };
     BaselineOutcome {
         best_config,
@@ -161,16 +161,6 @@ pub fn probe_fixes(
         n_measurements: n,
         wall_time_s: start.elapsed().as_secs_f64(),
     }
-}
-
-/// Options whose grid position differs between two configurations.
-pub fn changed_options(sim: &Simulator, a: &Config, b: &Config) -> Vec<usize> {
-    (0..sim.model.n_options())
-        .filter(|&i| {
-            sim.model.space.option(i).nearest_index(a.values[i])
-                != sim.model.space.option(i).nearest_index(b.values[i])
-        })
-        .collect()
 }
 
 /// Feature matrix (row-major, raw option values) of a config list.
@@ -250,16 +240,5 @@ mod tests {
         );
         assert!(out.n_measurements >= 8); // 7 prior + fault + ≥0 probes
         assert!(out.best_objectives[0] > 0.0);
-    }
-
-    #[test]
-    fn changed_options_detects_grid_moves() {
-        let (sim, _) = x264_fixture();
-        let a = sim.model.space.default_config();
-        let mut b = a.clone();
-        b.values[0] = sim.model.space.option(0).values[0];
-        let diff = changed_options(&sim, &a, &b);
-        // Default of option 0 is index 1, so moving to index 0 is a change.
-        assert_eq!(diff, vec![0]);
     }
 }

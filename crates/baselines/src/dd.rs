@@ -7,7 +7,7 @@ use std::time::Instant;
 
 use unicorn_systems::{Config, Fault, FaultCatalog, Simulator};
 
-use crate::common::{changed_options, meets_goal, BaselineOutcome, DebugBudget, Debugger};
+use crate::common::{meets_goal, BaselineOutcome, DebugBudget, Debugger};
 
 /// The delta-debugging baseline.
 #[derive(Debug, Clone, Default)]
@@ -134,7 +134,7 @@ impl Debugger for DeltaDebugging {
             .iter()
             .any(|&o| base_sample.objectives[o] > catalog.thresholds[o]);
 
-        let all_deltas = changed_options(sim, &base, &fault.config);
+        let all_deltas = sim.model.space.changed_options(&base, &fault.config);
         let minimal = if base_fails || all_deltas.is_empty() {
             all_deltas.clone()
         } else {
@@ -203,7 +203,7 @@ mod tests {
         );
         // The diagnosis must be a subset of the fault's deltas vs default.
         let base = sim.model.space.default_config();
-        let all = changed_options(&sim, &base, &real.config);
+        let all = sim.model.space.changed_options(&base, &real.config);
         for d in &out.diagnosed_options {
             assert!(all.contains(d));
         }

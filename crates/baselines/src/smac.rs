@@ -10,7 +10,7 @@ use rand::SeedableRng;
 
 use unicorn_systems::{Config, Fault, FaultCatalog, Simulator};
 
-use crate::common::{changed_options, meets_goal, BaselineOutcome, DebugBudget};
+use crate::common::{meets_goal, BaselineOutcome, DebugBudget};
 use crate::forest::{expected_improvement, ForestOptions, RandomForest};
 
 /// SMAC hyperparameters.
@@ -152,7 +152,10 @@ pub fn smac_debug(
     let s = sim.measure(&out.best_config);
     let fixed = meets_goal(fault, catalog, &s.objectives);
     BaselineOutcome {
-        diagnosed_options: changed_options(sim, &fault.config, &out.best_config),
+        diagnosed_options: sim
+            .model
+            .space
+            .changed_options(&fault.config, &out.best_config),
         best_config: out.best_config,
         best_objectives: s.objectives,
         fixed,

@@ -31,13 +31,11 @@ impl Default for TreeOptions {
 
 /// A tree node.
 #[derive(Debug, Clone)]
-pub enum TreeNode {
+enum TreeNode {
     /// Terminal node.
     Leaf {
         /// Mean target value of the training rows that reached the leaf.
         value: f64,
-        /// Number of training rows.
-        n: usize,
     },
     /// Internal split: rows with `feature <= threshold` go left.
     Split {
@@ -96,10 +94,7 @@ impl DecisionTree {
     ) -> usize {
         let mean: f64 = rows.iter().map(|&r| y[r]).sum::<f64>() / rows.len() as f64;
         let make_leaf = |nodes: &mut Vec<TreeNode>| {
-            nodes.push(TreeNode::Leaf {
-                value: mean,
-                n: rows.len(),
-            });
+            nodes.push(TreeNode::Leaf { value: mean });
             nodes.len() - 1
         };
         if depth >= opts.max_depth || rows.len() < 2 * opts.min_samples_leaf {
@@ -146,10 +141,7 @@ impl DecisionTree {
             rows.iter().partition(|&&row| x[row][feature] <= threshold);
         // Reserve this node, then grow children.
         let idx = self.nodes.len();
-        self.nodes.push(TreeNode::Leaf {
-            value: mean,
-            n: rows.len(),
-        });
+        self.nodes.push(TreeNode::Leaf { value: mean });
         let left = self.grow(x, y, &l_rows, depth + 1, opts, rng);
         let right = self.grow(x, y, &r_rows, depth + 1, opts, rng);
         self.nodes[idx] = TreeNode::Split {
@@ -256,11 +248,6 @@ impl DecisionTree {
     /// Number of nodes.
     pub fn n_nodes(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Number of features the tree was trained on.
-    pub fn n_features(&self) -> usize {
-        self.n_features
     }
 }
 

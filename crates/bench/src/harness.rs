@@ -3,7 +3,7 @@
 //! Figs 14/16.
 
 use unicorn_baselines::{smac_debug, BugDoc, Cbi, DebugBudget, Debugger, DeltaDebugging, Encore};
-use unicorn_core::{debug_fault, score_debugging, DebugScores, TransferMode, UnicornOptions};
+use unicorn_core::{debug_fault, score_debugging, DebugScores, UnicornOptions};
 use unicorn_systems::{
     discover_faults, Environment, Fault, FaultCatalog, FaultDiscoveryOptions, Hardware, Simulator,
     SubjectSystem,
@@ -134,7 +134,7 @@ impl DebugMethod {
 /// Unicorn loop options matched to a comparison budget: the initial sample
 /// set plays the role of the baselines' observational samples and the loop
 /// budget the role of their probes.
-pub fn unicorn_options(scale: Scale, seed: u64) -> UnicornOptions {
+fn unicorn_options(scale: Scale, seed: u64) -> UnicornOptions {
     UnicornOptions {
         initial_samples: scale.n_samples(),
         budget: scale.n_probes(),
@@ -249,15 +249,6 @@ pub fn run_cell(
         .map(|(i, f)| run_method(method, sim, f, cat, scale, seed ^ (i as u64) << 3))
         .collect();
     unicorn_core::mean_scores(&scores)
-}
-
-/// The transfer-mode roster of Fig 16 / Table 15.
-pub fn transfer_modes() -> [TransferMode; 3] {
-    [
-        TransferMode::Reuse,
-        TransferMode::Update(25),
-        TransferMode::Rerun,
-    ]
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ pub mod suite;
 pub mod transfer_analysis;
 
 pub use gate::{compare, parse_report, BenchRow, Comparison};
-pub use harness::{catalog, run_cell, run_method, simulator, transfer_modes, DebugMethod, Scale};
+pub use harness::{catalog, run_cell, run_method, simulator, DebugMethod, Scale};
 pub use report::{f1, f2, render_series, section, Table};
-pub use suite::{discovery_profile, run_scenario, run_suite, ScenarioReport, SuiteOptions};
-pub use transfer_analysis::{causal_terms, causal_transfer, regression_transfer, TransferStats};
+pub use suite::{run_suite, ScenarioReport, SuiteOptions};
+pub use transfer_analysis::{causal_transfer, regression_transfer, TransferStats};

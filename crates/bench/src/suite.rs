@@ -65,7 +65,7 @@ impl Default for SuiteOptions {
 /// variable count: multiple-testing control (a stricter alpha and
 /// shallower conditioning) keeps the big variants sparse — the Table 3
 /// regime — while the standard systems run the loop defaults.
-pub fn discovery_profile(n_nodes: usize) -> DiscoveryOptions {
+fn discovery_profile(n_nodes: usize) -> DiscoveryOptions {
     if n_nodes > 150 {
         DiscoveryOptions {
             alpha: 1e-4,
@@ -128,7 +128,7 @@ fn ms(t: Instant) -> f64 {
 }
 
 /// Drives one scenario through the full five-stage pipeline.
-pub fn run_scenario(sc: &Scenario, opts: &SuiteOptions) -> ScenarioReport {
+fn run_scenario(sc: &Scenario, opts: &SuiteOptions) -> ScenarioReport {
     let t_total = Instant::now();
     let sim = sc.simulator(opts.seed);
     let truth = sim.model.true_admg();
@@ -255,7 +255,7 @@ pub fn run_scenario(sc: &Scenario, opts: &SuiteOptions) -> ScenarioReport {
 }
 
 /// Runs every registry entry (optionally filtered by
-/// `UNICORN_SUITE_FILTER`) through [`run_scenario`].
+/// `UNICORN_SUITE_FILTER`) through all five pipeline stages.
 pub fn run_suite(reg: &ScenarioRegistry, opts: &SuiteOptions) -> Vec<ScenarioReport> {
     let filter = std::env::var("UNICORN_SUITE_FILTER").unwrap_or_default();
     let mut reports = Vec::new();

@@ -63,7 +63,7 @@ pub fn regression_transfer(
 /// backtrack causal paths from the objective; each path contributes its
 /// source option, and events reached from several options contribute the
 /// interaction of those options.
-pub fn causal_terms(model: &LearnedModel, data: &Dataset, obj_idx: usize) -> BTreeSet<Vec<usize>> {
+fn causal_terms(model: &LearnedModel, data: &Dataset, obj_idx: usize) -> BTreeSet<Vec<usize>> {
     let obj = data.objective_node(obj_idx);
     let mut terms: BTreeSet<Vec<usize>> = BTreeSet::new();
     let paths = backtrack_causal_paths(&model.admg, obj, 500);
@@ -95,7 +95,7 @@ pub fn causal_terms(model: &LearnedModel, data: &Dataset, obj_idx: usize) -> BTr
 /// analog used for the causal rank-correlation statistic: the sum of
 /// |coefficient| of every fitted term in which the option participates,
 /// across all functional nodes.
-pub fn causal_option_strengths(scm: &FittedScm, n_options: usize) -> Vec<f64> {
+fn causal_option_strengths(scm: &FittedScm, n_options: usize) -> Vec<f64> {
     let mut strength = vec![0.0; n_options];
     // Walk each non-root node's fitted polynomial.
     for v in 0..scm.n_vars() {

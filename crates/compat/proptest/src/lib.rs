@@ -142,7 +142,7 @@ pub mod prop {
             VecStrategy { element, len }
         }
 
-        /// Strategy produced by [`vec`].
+        /// Strategy produced by [`vec()`].
         pub struct VecStrategy<S> {
             element: S,
             len: std::ops::Range<usize>,

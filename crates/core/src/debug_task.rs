@@ -45,7 +45,7 @@ pub struct DebugOutcome {
 /// The QoS goal for a fault: every violated objective must reach the
 /// catalog's repair target (best decile) — the paper's repairs restore
 /// near-optimal, not merely typical, performance (§6 gains of 70–90%).
-pub fn fault_goal(fault: &Fault, catalog: &FaultCatalog, data_objective_base: usize) -> QosGoal {
+fn fault_goal(fault: &Fault, catalog: &FaultCatalog, data_objective_base: usize) -> QosGoal {
     QosGoal {
         thresholds: fault
             .objectives
@@ -137,19 +137,7 @@ pub fn debug_fault_with_state(
                 let objective = goal.thresholds[0].0;
                 // Keep the already-working part of the fix pinned and
                 // retry a few times for an unvisited configuration.
-                let pinned: Vec<usize> = (0..sim.model.n_options())
-                    .filter(|&i| {
-                        sim.model
-                            .space
-                            .option(i)
-                            .nearest_index(best_config.values[i])
-                            != sim
-                                .model
-                                .space
-                                .option(i)
-                                .nearest_index(fault.config.values[i])
-                    })
-                    .collect();
+                let pinned = sim.model.space.changed_options(&best_config, &fault.config);
                 let mut cand = None;
                 for _ in 0..6 {
                     let c = state.ace_weighted_explore_excluding(
@@ -175,21 +163,11 @@ pub fn debug_fault_with_state(
 
         // Stage IV: measure and update.
         let sample = state.measure_and_update(sim, opts, &next);
-        let changed: Vec<usize> = (0..sim.model.n_options())
-            .filter(|&i| {
-                sim.model.space.option(i).nearest_index(next.values[i])
-                    != sim
-                        .model
-                        .space
-                        .option(i)
-                        .nearest_index(fault.config.values[i])
-            })
-            .collect();
         trajectory.push(DebugIteration {
             iteration,
             config: next.clone(),
             objectives: sample.objectives.clone(),
-            changed_options: changed,
+            changed_options: sim.model.space.changed_options(&next, &fault.config),
         });
 
         // Track the best configuration by the violated objectives.
@@ -213,19 +191,7 @@ pub fn debug_fault_with_state(
         }
     }
 
-    let diagnosed_options: Vec<usize> = (0..sim.model.n_options())
-        .filter(|&i| {
-            sim.model
-                .space
-                .option(i)
-                .nearest_index(best_config.values[i])
-                != sim
-                    .model
-                    .space
-                    .option(i)
-                    .nearest_index(fault.config.values[i])
-        })
-        .collect();
+    let diagnosed_options = sim.model.space.changed_options(&best_config, &fault.config);
 
     DebugOutcome {
         best_config,

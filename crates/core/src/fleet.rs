@@ -257,7 +257,8 @@ impl Fleet {
     }
 
     /// Registered tenant names, sorted.
-    pub fn tenant_names(&self) -> Vec<String> {
+    #[cfg(test)]
+    fn tenant_names(&self) -> Vec<String> {
         self.tenants.keys().cloned().collect()
     }
 
@@ -408,20 +409,20 @@ impl Fleet {
         self.maintain();
     }
 
-    /// Current accounted bytes: every live segment once per `Arc`
-    /// identity (appends and snapshots share sealed segments), every
-    /// cache lineage once (a view clone shares its lineage's caches).
-    /// Published snapshot views are included — they pin segments and
-    /// caches just like tenant views.
-    pub fn accounted_bytes(&mut self) -> usize {
+    /// The sum of [`Self::accounted_breakdown`].
+    fn accounted_bytes(&mut self) -> usize {
         let (segments, caches) = self.accounted_breakdown();
         segments + caches
     }
 
-    /// [`Self::accounted_bytes`] split into `(segment bytes, cache
-    /// bytes)`. The segment term is the eviction floor — raw data (plus
-    /// its materialized sorted runs and moment summaries) is never
-    /// evicted, so a budget below it just runs the fleet cache-cold.
+    /// Current accounted bytes, split into `(segment bytes, cache
+    /// bytes)`: every live segment once per `Arc` identity (appends and
+    /// snapshots share sealed segments), every cache lineage once (a view
+    /// clone shares its lineage's caches). Published snapshot views are
+    /// included — they pin segments and caches just like tenant views.
+    /// The segment term is the eviction floor — raw data (plus its
+    /// materialized sorted runs and moment summaries) is never evicted,
+    /// so a budget below it just runs the fleet cache-cold.
     ///
     /// The sweep is incremental: per-tenant byte counts are cached and
     /// re-walked only for tenants touched (queried, appended, relearned,

@@ -185,13 +185,13 @@ impl UnicornState {
             self.pending.clear();
         }
         // Catch external mutation of the (public) dataset that bypassed
-        // record_sample/replace_data — fitting on a stale view would
+        // record_sample/extend_data — fitting on a stale view would
         // otherwise be silent.
         assert_eq!(
             self.view.n_rows(),
             self.data.n_rows(),
             "UnicornState view desynchronized from data; mutate through \
-             record_sample/measure_and_update/replace_data"
+             record_sample/measure_and_update/extend_data"
         );
     }
 
@@ -263,10 +263,11 @@ impl UnicornState {
         self.pending.push(row.to_vec());
     }
 
-    /// Replaces the accumulated dataset wholesale (transfer workflows) and
-    /// rebuilds the view over it, dropping warm-start state that referred
-    /// to the replaced sample.
-    pub fn replace_data(&mut self, data: Dataset) {
+    /// Replaces the accumulated dataset wholesale and rebuilds the view
+    /// over it, dropping warm-start state that referred to the replaced
+    /// sample — the cold reference `extend_data` is checked against.
+    #[cfg(test)]
+    fn replace_data(&mut self, data: Dataset) {
         self.pending.clear();
         self.view = data.view();
         self.data = data;
@@ -283,9 +284,9 @@ impl UnicornState {
     /// transfer update) to the accumulated data: columns extend in place
     /// and the shared view grows through the segmented columnar append —
     /// O(new rows), sealed segments shared, epoch-tagged caches carried
-    /// along — instead of the full view rebuild `replace_data` pays. The
-    /// warm-start relearn state survives, and the incremental relearn
-    /// contract keeps the next structure bit-identical to a cold one.
+    /// along — instead of a full view rebuild. The warm-start relearn
+    /// state survives, and the incremental relearn contract keeps the next
+    /// structure bit-identical to a cold one.
     pub fn extend_data(&mut self, other: &Dataset) {
         self.sync_view();
         self.data.extend_from(other);

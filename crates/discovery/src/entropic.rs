@@ -22,19 +22,21 @@ pub enum Direction {
     Backward,
 }
 
-/// Greedy minimum-entropy coupling: given the rows `p₁, …, pₘ` (each a
-/// distribution over the same support), constructs a random variable `E`
-/// such that each `pᵢ` can be produced as a deterministic function of `E`,
-/// greedily assigning the largest remaining masses together.
-///
-/// Returns `H(E)` in bits.
-pub fn min_entropy_coupling(rows: &[Vec<f64>]) -> f64 {
+/// [`min_entropy_coupling_owned`] over borrowed rows.
+#[cfg(test)]
+fn min_entropy_coupling(rows: &[Vec<f64>]) -> f64 {
     min_entropy_coupling_owned(rows.to_vec())
 }
 
-/// [`min_entropy_coupling`] taking ownership of its working rows, so hot
-/// callers (which already hold freshly-built conditionals) skip the copy.
-pub fn min_entropy_coupling_owned(rows: Vec<Vec<f64>>) -> f64 {
+/// Greedy minimum-entropy coupling: given the rows `p₁, …, pₘ` (each a
+/// distribution over the same support), constructs a random variable `E`
+/// such that each `pᵢ` can be produced as a deterministic function of `E`,
+/// greedily assigning the largest remaining masses together. Takes
+/// ownership of its working rows, so hot callers (which already hold
+/// freshly-built conditionals) skip the copy.
+///
+/// Returns `H(E)` in bits.
+fn min_entropy_coupling_owned(rows: Vec<Vec<f64>>) -> f64 {
     if rows.is_empty() {
         return 0.0;
     }
@@ -77,7 +79,7 @@ pub fn min_entropy_coupling_owned(rows: Vec<Vec<f64>>) -> f64 {
 /// Estimated `H(E)` for the hypothesis `X → Y`: the minimum-entropy
 /// coupling of the empirical conditionals `p(Y | X = x)`, with each row
 /// weighted equally (the greedy coupling operates on the set of rows).
-pub fn exogenous_entropy(x_codes: &[usize], y_codes: &[usize], y_arity: usize) -> f64 {
+fn exogenous_entropy(x_codes: &[usize], y_codes: &[usize], y_arity: usize) -> f64 {
     let cond: BTreeMap<usize, Vec<f64>> = conditionals(x_codes, y_codes, y_arity);
     let rows: Vec<Vec<f64>> = cond.into_values().collect();
     min_entropy_coupling_owned(rows)

@@ -38,13 +38,11 @@ pub mod pds;
 pub mod resolve;
 pub mod skeleton;
 
-pub use entropic::{
-    entropic_direction, min_entropy_coupling, min_entropy_coupling_owned, Direction,
-};
+pub use entropic::{entropic_direction, Direction};
 pub use latent_search::{latent_search, LatentSearchOptions, LatentSearchResult};
 pub use orient::{apply_fci_rules, orient_v_structures};
-pub use pds::{pds_prune, pds_prune_on, possible_d_sep};
-pub use resolve::{resolve_pag, resolve_pag_on, Resolution, ResolveOptions};
+pub use pds::pds_prune_on;
+pub use resolve::{resolve_pag_on, Resolution, ResolveOptions};
 pub use skeleton::{
     pc_skeleton, pc_skeleton_incremental, pc_skeleton_on, SepsetMap, Skeleton, SkeletonMemo,
 };
@@ -74,20 +72,16 @@ pub struct DiscoveryOptions {
     /// Maximum parents re-admitted per objective by the completion pass
     /// (0 disables it).
     pub objective_completion: usize,
-    /// Worker threads for every parallel stage when no [`Self::exec`] pool
-    /// is supplied; `None` defers to [`unicorn_exec::default_threads`]
-    /// (the `UNICORN_THREADS` environment variable or the machine's
-    /// parallelism). Every stage's output is independent of this value.
-    pub threads: Option<usize>,
     /// The worker pool every parallel stage fans out over — the skeleton
     /// sweep, the PDS speculative rounds, the per-edge entropic
     /// resolution, and the objective-completion scan. `None` falls back to
-    /// the process-default pool (or a transient one sized by
-    /// [`Self::threads`]); long-lived callers such as `UnicornState`
-    /// supply their own so workers are spawned once and reused across the
-    /// whole relearn loop. Output is independent of the pool used
-    /// (executor equality is pool identity, so the derived `PartialEq`
-    /// stays meaningful).
+    /// the process-default pool, sized by [`unicorn_exec::default_threads`]
+    /// (the `UNICORN_THREADS` environment variable or the machine's
+    /// parallelism); long-lived callers such as `UnicornState` supply
+    /// their own so workers are spawned once and reused across the whole
+    /// relearn loop, and `Some(Executor::new(n))` pins the width. Output
+    /// is independent of the pool used (executor equality is pool
+    /// identity, so the derived `PartialEq` stays meaningful).
     pub exec: Option<Arc<Executor>>,
 }
 
@@ -100,7 +94,6 @@ impl Default for DiscoveryOptions {
             pds_max_set: 8,
             resolve: ResolveOptions::default(),
             objective_completion: 4,
-            threads: None,
             exec: None,
         }
     }
@@ -108,14 +101,9 @@ impl Default for DiscoveryOptions {
 
 impl DiscoveryOptions {
     /// The worker pool the pipeline fans out over: the supplied
-    /// [`Self::exec`], a transient pool when only [`Self::threads`] is
-    /// set, or the process-default pool.
+    /// [`Self::exec`], or the process-default pool.
     pub fn executor(&self) -> Arc<Executor> {
-        match (&self.exec, self.threads) {
-            (Some(e), _) => Arc::clone(e),
-            (None, Some(n)) => Executor::new(n),
-            (None, None) => Executor::global(),
-        }
+        self.exec.clone().unwrap_or_else(Executor::global)
     }
 }
 
@@ -157,19 +145,7 @@ pub fn learn_causal_model_on(
     opts: &DiscoveryOptions,
 ) -> LearnedModel {
     let test = MixedTest::from_view(data);
-    learn_causal_model_with_test(&test, data, names, tiers, opts)
-}
-
-/// Runs the pipeline with a caller-supplied CI test (e.g. a `GTest` for
-/// fully discrete data, or a cached oracle in unit tests).
-pub fn learn_causal_model_with_test(
-    test: &dyn CiTest,
-    data: &DataView,
-    names: &[String],
-    tiers: &TierConstraints,
-    opts: &DiscoveryOptions,
-) -> LearnedModel {
-    learn_pipeline(test, data, names, tiers, opts, None)
+    learn_pipeline(&test, data, names, tiers, opts, None)
 }
 
 /// The shared pipeline body: cold when `memo` is `None`, warm-started
@@ -357,8 +333,8 @@ struct SessionSeed {
     view: DataView,
     names: Vec<String>,
     tiers: TierConstraints,
-    /// Normalized (`threads: None`, `exec: None`) — pool identity never
-    /// affects results, so it must not block adoption.
+    /// Normalized (`exec: None`) — pool identity never affects results,
+    /// so it must not block adoption.
     opts: DiscoveryOptions,
     model: LearnedModel,
 }
@@ -411,7 +387,6 @@ impl RelearnSession {
             names,
             tiers,
             opts: DiscoveryOptions {
-                threads: None,
                 exec: None,
                 ..opts.clone()
             },
@@ -447,10 +422,9 @@ pub fn learn_causal_model_incremental(
         names: names.to_vec(),
         tiers: tiers.clone(),
         // Every stage's output is thread-count and pool independent
-        // (proven by the equivalence tests), so neither the worker count
-        // nor the pool identity may invalidate the memo.
+        // (proven by the equivalence tests), so the pool identity may not
+        // invalidate the memo.
         opts: DiscoveryOptions {
-            threads: None,
             exec: None,
             ..opts.clone()
         },
@@ -481,94 +455,6 @@ pub fn learn_causal_model_incremental(
     let model = learn_pipeline(&test, data, names, tiers, opts, Some(&mut session.skeleton));
     session.model = Some((key, model.clone()));
     model
-}
-
-/// Incremental learner: owns the accumulated samples and relearns the model
-/// as new measurements arrive (§4 Stage IV). The FCI pipeline is re-run on
-/// the union of old and new data; because the causal mechanisms are sparse
-/// the structure stabilizes quickly (Fig 11a), which the tests assert via
-/// decreasing structural hamming distance.
-///
-/// Samples are staged in a pending buffer; `relearn` folds them into the
-/// current [`DataView`] with [`DataView::append_rows`] — one epoch bump,
-/// O(new rows) — and drives [`learn_causal_model_incremental`], so
-/// successive relearns share merged sufficient statistics, surviving
-/// epoch-tagged caches, and the skeleton warm start.
-#[derive(Debug, Clone)]
-pub struct IncrementalLearner {
-    view: DataView,
-    pending: Vec<Vec<f64>>,
-    names: Vec<String>,
-    tiers: TierConstraints,
-    opts: DiscoveryOptions,
-    session: RelearnSession,
-    model: Option<LearnedModel>,
-}
-
-impl IncrementalLearner {
-    /// Creates a learner over `n_vars` named variables with no data yet.
-    pub fn new(names: Vec<String>, tiers: TierConstraints, opts: DiscoveryOptions) -> Self {
-        let view = DataView::new(vec![Vec::new(); names.len()]);
-        Self {
-            view,
-            pending: Vec::new(),
-            names,
-            tiers,
-            opts,
-            session: RelearnSession::default(),
-            model: None,
-        }
-    }
-
-    /// Number of accumulated samples (including pending ones).
-    pub fn n_samples(&self) -> usize {
-        self.view.n_rows() + self.pending.len()
-    }
-
-    /// Stages one sample (a full row of variable values).
-    pub fn push_sample(&mut self, row: &[f64]) {
-        assert_eq!(row.len(), self.view.n_cols(), "row width mismatch");
-        self.pending.push(row.to_vec());
-    }
-
-    /// Folds pending samples into the view (one epoch bump) and relearns
-    /// the model from all accumulated data along the incremental path.
-    pub fn relearn(&mut self) -> &LearnedModel {
-        if !self.pending.is_empty() {
-            self.view = self.view.append_rows(&self.pending);
-            self.pending.clear();
-        }
-        let model = learn_causal_model_incremental(
-            &self.view,
-            &self.names,
-            &self.tiers,
-            &self.opts,
-            &mut self.session,
-        );
-        self.model = Some(model);
-        self.model.as_ref().expect("just set")
-    }
-
-    /// The most recently learned model, if any.
-    pub fn model(&self) -> Option<&LearnedModel> {
-        self.model.as_ref()
-    }
-
-    /// The current view over all accumulated data (pending samples are
-    /// folded in first).
-    pub fn view(&mut self) -> &DataView {
-        if !self.pending.is_empty() {
-            self.view = self.view.append_rows(&self.pending);
-            self.pending.clear();
-        }
-        &self.view
-    }
-
-    /// Accumulated column-major data (excluding staged samples; call
-    /// [`Self::view`] first to fold them in).
-    pub fn columns(&self) -> &[Vec<f64>] {
-        self.view.columns()
-    }
 }
 
 #[cfg(test)]
@@ -675,21 +561,5 @@ mod tests {
             cold_model.admg.directed_edges()
         );
         assert_eq!(fresh.n_ci_tests, cold_model.n_ci_tests);
-    }
-
-    #[test]
-    fn incremental_learner_accumulates() {
-        let (cols, names, tiers) = stack_data(200, 7);
-        let mut learner = IncrementalLearner::new(names, tiers, DiscoveryOptions::default());
-        let n = cols[0].len();
-        for i in 0..n {
-            let row: Vec<f64> = cols.iter().map(|c| c[i]).collect();
-            learner.push_sample(&row);
-        }
-        assert_eq!(learner.n_samples(), n);
-        assert!(learner.model().is_none());
-        let m = learner.relearn();
-        assert!(m.admg.directed_edges().contains(&(2, 3)));
-        assert!(learner.model().is_some());
     }
 }

@@ -16,7 +16,7 @@ use unicorn_stats::independence::CiTest;
 use crate::skeleton::{for_each_subset, SepsetMap};
 
 /// Computes Possible-D-SEP(x) on a partially oriented graph.
-pub fn possible_d_sep(g: &MixedGraph, x: NodeId) -> Vec<NodeId> {
+fn possible_d_sep(g: &MixedGraph, x: NodeId) -> Vec<NodeId> {
     let n = g.n_nodes();
     let mut result: Vec<NodeId> = Vec::new();
     // Walk over edges (u, w): states are ordered pairs, extending paths.
@@ -99,28 +99,9 @@ fn decide_edge(
 /// removes newly separable ones, recording sepsets. Conditioning sets are
 /// capped at `max_cond` and the PDS sets at `max_pds` nearest members
 /// (by node index distance — a pragmatic bound; the full algorithm is
-/// exponential). Returns the number of CI tests run.
-pub fn pds_prune(
-    g: &mut MixedGraph,
-    test: &dyn CiTest,
-    sepsets: &mut SepsetMap,
-    alpha: f64,
-    max_cond: usize,
-    max_pds: usize,
-) -> usize {
-    pds_prune_on(
-        g,
-        test,
-        sepsets,
-        alpha,
-        max_cond,
-        max_pds,
-        &Executor::global(),
-    )
-}
-
-/// [`pds_prune`] sharded over the worker pool, **bit-identical to the
-/// sequential pass** for every thread count (including the CI-test count).
+/// exponential). Returns the number of CI tests run. Sharded over the
+/// worker pool, **bit-identical to the sequential pass** for every thread
+/// count (including the CI-test count).
 ///
 /// The sequential algorithm is a loop-carried dependency: each edge's
 /// Possible-D-SEP sets are computed on the graph *after* all earlier

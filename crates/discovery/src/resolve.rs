@@ -80,8 +80,9 @@ enum EdgeVerdict {
     Bidirected { a: NodeId, b: NodeId },
 }
 
-/// [`resolve_pag`] over the process-default worker pool.
-pub fn resolve_pag(
+/// [`resolve_pag_on`] over the process-default worker pool.
+#[cfg(test)]
+fn resolve_pag(
     pag: &MixedGraph,
     data: &DataView,
     tiers: &TierConstraints,

@@ -279,7 +279,7 @@ pub fn pc_skeleton_on(
 /// [`crate::learn_causal_model_incremental`] does by construction.
 /// Switching tests mid-memo requires [`SkeletonMemo::clear`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct SkeletonKey {
+struct SkeletonKey {
     lineage: u64,
     epoch: u64,
     names: Vec<String>,

@@ -3,7 +3,7 @@
 //! resolved form the paper's inference engine evaluates queries on after
 //! entropic resolution of the FCI output (§4 Stage II).
 
-use crate::mixed::{Endpoint, MixedGraph};
+use crate::mixed::MixedGraph;
 use crate::NodeId;
 use std::collections::BTreeSet;
 
@@ -190,8 +190,10 @@ impl Admg {
 
     /// Builds an ADMG from a mixed graph that contains only directed and
     /// bidirected edges (no circles). Returns `None` if unresolved marks or
-    /// a directed cycle remain.
-    pub fn from_mixed(g: &MixedGraph) -> Option<Self> {
+    /// a directed cycle remain. The reference `to_mixed` is checked against.
+    #[cfg(test)]
+    fn from_mixed(g: &MixedGraph) -> Option<Self> {
+        use crate::mixed::Endpoint;
         let mut admg = Admg::new(g.names().to_vec());
         for e in g.edges() {
             match (e.mark_a, e.mark_b) {
@@ -222,32 +224,6 @@ impl Admg {
             return None;
         }
         Some(admg)
-    }
-
-    /// The districts (c-components): connected components of the
-    /// bidirected part.
-    pub fn districts(&self) -> Vec<BTreeSet<NodeId>> {
-        let n = self.n_nodes();
-        let mut comp: Vec<Option<usize>> = vec![None; n];
-        let mut out: Vec<BTreeSet<NodeId>> = Vec::new();
-        for start in 0..n {
-            if comp[start].is_some() {
-                continue;
-            }
-            let id = out.len();
-            let mut set = BTreeSet::new();
-            let mut stack = vec![start];
-            while let Some(u) = stack.pop() {
-                if comp[u].is_some() {
-                    continue;
-                }
-                comp[u] = Some(id);
-                set.insert(u);
-                stack.extend(self.siblings(u));
-            }
-            out.push(set);
-        }
-        out
     }
 
     /// Average node degree counting both edge kinds.
@@ -286,19 +262,6 @@ mod tests {
         let mut g = Admg::new(names(2));
         g.add_directed(0, 1);
         g.add_directed(1, 0);
-    }
-
-    #[test]
-    fn districts_partition_nodes() {
-        let mut g = Admg::new(names(5));
-        g.add_directed(0, 1);
-        g.add_bidirected(1, 2);
-        g.add_bidirected(2, 3);
-        let d = g.districts();
-        assert_eq!(d.len(), 3); // {0}, {1,2,3}, {4}
-        assert!(d
-            .iter()
-            .any(|s| s.len() == 3 && s.contains(&1) && s.contains(&3)));
     }
 
     #[test]

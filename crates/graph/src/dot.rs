@@ -2,7 +2,6 @@
 //! figures like the paper's Fig 6 and Fig 23).
 
 use crate::admg::Admg;
-use crate::mixed::{Endpoint, MixedGraph};
 use crate::tiers::{TierConstraints, VarKind};
 
 fn node_attrs(kind: Option<VarKind>) -> &'static str {
@@ -12,37 +11,6 @@ fn node_attrs(kind: Option<VarKind>) -> &'static str {
         Some(VarKind::Objective) => "shape=doubleoctagon, style=filled, fillcolor=\"#ffd3c9\"",
         None => "shape=ellipse",
     }
-}
-
-fn endpoint_arrow(e: Endpoint) -> &'static str {
-    match e {
-        Endpoint::Tail => "none",
-        Endpoint::Arrow => "normal",
-        Endpoint::Circle => "odot",
-    }
-}
-
-/// Renders a mixed graph (PAG) to DOT, with optional tier styling.
-pub fn mixed_to_dot(g: &MixedGraph, tiers: Option<&TierConstraints>) -> String {
-    let mut out = String::from("digraph pag {\n  rankdir=TB;\n");
-    for (i, name) in g.names().iter().enumerate() {
-        let kind = tiers.map(|t| t.kind(i));
-        out.push_str(&format!(
-            "  n{i} [label=\"{name}\", {}];\n",
-            node_attrs(kind)
-        ));
-    }
-    for e in g.edges() {
-        out.push_str(&format!(
-            "  n{} -> n{} [dir=both, arrowtail={}, arrowhead={}];\n",
-            e.a,
-            e.b,
-            endpoint_arrow(e.mark_a),
-            endpoint_arrow(e.mark_b)
-        ));
-    }
-    out.push_str("}\n");
-    out
 }
 
 /// Renders an ADMG to DOT (directed edges solid, bidirected dashed), with
@@ -73,16 +41,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mixed_dot_contains_nodes_and_marks() {
-        let mut g = MixedGraph::new(vec!["Bitrate".into(), "FPS".into()]);
-        g.set_edge(0, 1, Endpoint::Circle, Endpoint::Arrow);
-        let dot = mixed_to_dot(&g, None);
-        assert!(dot.contains("label=\"Bitrate\""));
-        assert!(dot.contains("arrowtail=odot"));
-        assert!(dot.contains("arrowhead=normal"));
-    }
-
-    #[test]
     fn admg_dot_styles_bidirected_dashed() {
         let mut g = Admg::new(vec!["a".into(), "b".into(), "c".into()]);
         g.add_directed(0, 1);
@@ -94,9 +52,9 @@ mod tests {
 
     #[test]
     fn tier_styling_applied() {
-        let g = MixedGraph::new(vec!["o".into(), "e".into()]);
+        let g = Admg::new(vec!["o".into(), "e".into()]);
         let t = TierConstraints::new(vec![VarKind::ConfigOption, VarKind::SystemEvent]);
-        let dot = mixed_to_dot(&g, Some(&t));
+        let dot = admg_to_dot(&g, Some(&t));
         assert!(dot.contains("shape=box"));
         assert!(dot.contains("#fff2b8"));
     }

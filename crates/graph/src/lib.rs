@@ -3,14 +3,13 @@
 //! Causal-graph data structures for the Unicorn (EuroSys '22) reproduction:
 //! mixed graphs with endpoint marks (the PAGs produced by FCI), acyclic
 //! directed mixed graphs (the ADMGs causal queries are evaluated on),
-//! m-separation, directed-path backtracking from performance objectives,
-//! structural hamming distance, DOT export, and the tier constraints the
-//! paper imposes on causal performance models (§3: "configuration options
-//! do not cause other options"; objectives are sinks).
+//! directed-path backtracking from performance objectives, structural
+//! hamming distance, DOT export, and the tier constraints the paper imposes
+//! on causal performance models (§3: "configuration options do not cause
+//! other options"; objectives are sinks).
 
 pub mod admg;
 pub mod dot;
-pub mod dsep;
 pub mod mixed;
 pub mod paths;
 pub mod shd;

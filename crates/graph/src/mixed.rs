@@ -63,7 +63,7 @@ impl Edge {
     }
 
     /// True if this is a fully directed edge `from → to`.
-    pub fn is_directed_from(&self, from: NodeId, to: NodeId) -> bool {
+    fn is_directed_from(&self, from: NodeId, to: NodeId) -> bool {
         (self.a == from
             && self.b == to
             && self.mark_a == Endpoint::Tail
@@ -72,16 +72,6 @@ impl Edge {
                 && self.a == to
                 && self.mark_b == Endpoint::Tail
                 && self.mark_a == Endpoint::Arrow)
-    }
-
-    /// True if both marks are arrows (bidirected / confounded).
-    pub fn is_bidirected(&self) -> bool {
-        self.mark_a == Endpoint::Arrow && self.mark_b == Endpoint::Arrow
-    }
-
-    /// True if any endpoint still carries a circle.
-    pub fn has_circle(&self) -> bool {
-        self.mark_a == Endpoint::Circle || self.mark_b == Endpoint::Circle
     }
 }
 
@@ -119,11 +109,6 @@ impl MixedGraph {
     /// Index of a node by name, if present.
     pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
         self.names.iter().position(|n| n == name)
-    }
-
-    /// Number of edges.
-    pub fn n_edges(&self) -> usize {
-        self.edges.len()
     }
 
     /// Inserts or replaces the edge between `x` and `y` with the given
@@ -193,12 +178,6 @@ impl MixedGraph {
         } else {
             marks.1 = mark_at_x;
         }
-    }
-
-    /// Orients the edge fully as `from → to` (Tail at `from`, Arrow at `to`).
-    pub fn orient_directed(&mut self, from: NodeId, to: NodeId) {
-        self.orient(from, to, Endpoint::Tail);
-        self.orient(to, from, Endpoint::Arrow);
     }
 
     /// Neighbors of `x` (any edge type).
@@ -274,11 +253,6 @@ impl MixedGraph {
             .collect()
     }
 
-    /// Number of edges that still carry a circle mark.
-    pub fn n_circle_edges(&self) -> usize {
-        self.edges().iter().filter(|e| e.has_circle()).count()
-    }
-
     /// Average node degree (2·|E| / |V|), the sparsity statistic reported
     /// in the paper's Table 3.
     pub fn average_degree(&self) -> f64 {
@@ -286,13 +260,6 @@ impl MixedGraph {
             return 0.0;
         }
         2.0 * self.edges.len() as f64 / self.names.len() as f64
-    }
-
-    /// Nodes with at least one incident edge.
-    pub fn connected_nodes(&self) -> Vec<NodeId> {
-        (0..self.n_nodes())
-            .filter(|&n| !self.adjacencies(n).is_empty())
-            .collect()
     }
 }
 
@@ -320,21 +287,11 @@ mod tests {
     }
 
     #[test]
-    fn orient_directed_sets_both_marks() {
-        let mut g = MixedGraph::new(names(2));
-        g.add_circle_edge(0, 1);
-        g.orient_directed(1, 0);
-        assert!(g.is_directed(1, 0));
-        assert_eq!(g.parents(0), vec![1]);
-        assert_eq!(g.children(1), vec![0]);
-    }
-
-    #[test]
     fn bidirected_edges() {
         let mut g = MixedGraph::new(names(2));
         g.add_bidirected_edge(0, 1);
         let e = g.edge(0, 1).unwrap();
-        assert!(e.is_bidirected());
+        assert_eq!((e.mark_a, e.mark_b), (Endpoint::Arrow, Endpoint::Arrow));
         assert!(g.parents(0).is_empty());
     }
 
@@ -356,7 +313,7 @@ mod tests {
         g.add_directed_edge(0, 1);
         g.remove_edge(1, 0);
         assert!(!g.adjacent(0, 1));
-        assert_eq!(g.n_edges(), 0);
+        assert!(g.edges().is_empty());
     }
 
     #[test]
@@ -364,9 +321,11 @@ mod tests {
         let mut g = MixedGraph::new(names(4));
         g.add_circle_edge(0, 1);
         g.add_directed_edge(1, 2);
-        assert_eq!(g.n_circle_edges(), 1);
+        assert_eq!(g.mark_at(0, 1), Some(Endpoint::Circle));
+        assert_eq!(g.mark_at(2, 1), Some(Endpoint::Arrow));
         assert!((g.average_degree() - 1.0).abs() < 1e-12);
-        assert_eq!(g.connected_nodes(), vec![0, 1, 2]);
+        assert_eq!(g.adjacencies(1), vec![0, 2]);
+        assert!(g.adjacencies(3).is_empty());
     }
 
     #[test]

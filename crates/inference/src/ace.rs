@@ -115,13 +115,8 @@ pub(crate) fn ace_of_handles(
     }
 }
 
-/// Signed effect of moving `x` from `a` to `b` on `z`.
-pub fn ace_signed(scm: &FittedScm, z: NodeId, x: NodeId, a: f64, b: f64) -> f64 {
-    scm.interventional_expectation(z, &[(x, b)]) - scm.interventional_expectation(z, &[(x, a)])
-}
-
 /// Path ACE (appendix Eq 1): the mean link ACE over consecutive pairs.
-pub fn path_ace(scm: &FittedScm, path: &CausalPath, domain: &dyn ValueDomain) -> f64 {
+fn path_ace(scm: &FittedScm, path: &CausalPath, domain: &dyn ValueDomain) -> f64 {
     if path.nodes.len() < 2 {
         return 0.0;
     }
@@ -351,15 +346,6 @@ mod tests {
         // X1 moves Y by 0.2.
         assert!(a0 > 10.0 * a1, "a0 = {a0}, a1 = {a1}");
         assert!((a1 - 0.2).abs() < 0.1, "a1 = {a1}");
-    }
-
-    #[test]
-    fn signed_ace_has_correct_sign() {
-        let (scm, _) = two_option_scm(600);
-        let up = ace_signed(&scm, 3, 0, 0.0, 2.0);
-        assert!(up > 7.0, "up = {up}"); // 4 per unit × 2
-        let down = ace_signed(&scm, 3, 0, 2.0, 0.0);
-        assert!((up + down).abs() < 0.2);
     }
 
     #[test]

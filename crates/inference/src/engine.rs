@@ -78,11 +78,6 @@ impl CausalEngine {
         self.scm.sweep_cache()
     }
 
-    /// The engine-lifetime domain-grid store (one fitted epoch's probes).
-    pub fn domain_store(&self) -> &Arc<DomainStore> {
-        &self.domain_store
-    }
-
     /// A plan-scoped domain cache backed by the engine's per-epoch store.
     pub fn domain_cache(&self) -> DomainCache<'_> {
         DomainCache::shared(self.domain.as_ref(), Arc::clone(&self.domain_store))

@@ -1,15 +1,15 @@
-//! Identifiability checks and backdoor adjustment.
+//! Identifiability check.
 //!
 //! The paper's Stage V notes the engine "provides a quantitative estimate
 //! for the identifiable queries … and may return some queries as
-//! unidentifiable". We implement the two workhorse pieces: the bow-arc
-//! criterion on ADMGs (the canonical non-identifiable primitive: `X → Y`
-//! with `X ←→ Y` in the same district) and backdoor-set search for
-//! adjustment-based estimation.
+//! unidentifiable". The screen is the bow-arc criterion on ADMGs (the
+//! canonical non-identifiable primitive: `X → Y` with `X ←→ Y` in the same
+//! district); identifiable effects are then estimated by simulating the
+//! fitted SCM under `do(·)`.
 
 use std::collections::BTreeSet;
 
-use unicorn_graph::{dsep::m_separated, Admg, NodeId};
+use unicorn_graph::{Admg, NodeId};
 
 /// True if `P(y | do(x))` is identifiable by the bow-free criterion: no
 /// node on a proper causal path from `x` to `y` (including `y` itself,
@@ -49,85 +49,6 @@ pub fn identifiable(g: &Admg, x: NodeId, y: NodeId) -> bool {
         .into_iter()
         .filter(|c| on_path.contains(c))
         .any(|c| district.contains(&c))
-}
-
-/// Tests the backdoor criterion for `z` relative to `(x, y)`:
-/// no member of `z` is a descendant of `x`, and `z` m-separates `x` from
-/// `y` in the graph with `x`'s outgoing edges removed.
-pub fn satisfies_backdoor(g: &Admg, x: NodeId, y: NodeId, z: &BTreeSet<NodeId>) -> bool {
-    let desc = g.descendants(x);
-    if z.iter().any(|m| desc.contains(m)) {
-        return false;
-    }
-    // Build the x-outgoing-mutilated graph.
-    let mut cut = Admg::new(g.names().to_vec());
-    for &(f, t) in g.directed_edges() {
-        if f != x {
-            cut.add_directed(f, t);
-        }
-    }
-    for &(a, b) in g.bidirected_edges() {
-        cut.add_bidirected(a, b);
-    }
-    m_separated(&cut, x, y, z)
-}
-
-/// Searches for a minimal backdoor adjustment set among subsets of the
-/// non-descendants of `x` (sizes 0..=`max_size`). Returns `None` if no set
-/// of that size qualifies.
-pub fn find_backdoor_set(
-    g: &Admg,
-    x: NodeId,
-    y: NodeId,
-    max_size: usize,
-) -> Option<BTreeSet<NodeId>> {
-    let desc = g.descendants(x);
-    let candidates: Vec<NodeId> = (0..g.n_nodes())
-        .filter(|&v| v != x && v != y && !desc.contains(&v))
-        .collect();
-    for size in 0..=max_size.min(candidates.len()) {
-        let mut found: Option<BTreeSet<NodeId>> = None;
-        subsets(&candidates, size, &mut |s| {
-            let set: BTreeSet<NodeId> = s.iter().copied().collect();
-            if satisfies_backdoor(g, x, y, &set) {
-                found = Some(set);
-                true
-            } else {
-                false
-            }
-        });
-        if found.is_some() {
-            return found;
-        }
-    }
-    None
-}
-
-fn subsets(items: &[NodeId], k: usize, f: &mut dyn FnMut(&[NodeId]) -> bool) -> bool {
-    fn rec(
-        items: &[NodeId],
-        k: usize,
-        start: usize,
-        cur: &mut Vec<NodeId>,
-        f: &mut dyn FnMut(&[NodeId]) -> bool,
-    ) -> bool {
-        if cur.len() == k {
-            return f(cur);
-        }
-        let need = k - cur.len();
-        let mut i = start;
-        while i + need <= items.len() {
-            cur.push(items[i]);
-            if rec(items, k, i + 1, cur, f) {
-                cur.pop();
-                return true;
-            }
-            cur.pop();
-            i += 1;
-        }
-        false
-    }
-    rec(items, k, 0, &mut Vec::new(), f)
 }
 
 #[cfg(test)]
@@ -170,40 +91,5 @@ mod tests {
         let mut g = Admg::new(names(2));
         g.add_bidirected(0, 1);
         assert!(identifiable(&g, 0, 1));
-    }
-
-    #[test]
-    fn backdoor_set_for_confounder() {
-        // Classic: z → x, z → y, x → y. {z} is the backdoor set.
-        let mut g = Admg::new(names(3));
-        g.add_directed(2, 0);
-        g.add_directed(2, 1);
-        g.add_directed(0, 1);
-        let empty: BTreeSet<NodeId> = BTreeSet::new();
-        assert!(!satisfies_backdoor(&g, 0, 1, &empty));
-        let z: BTreeSet<NodeId> = [2].into_iter().collect();
-        assert!(satisfies_backdoor(&g, 0, 1, &z));
-        assert_eq!(find_backdoor_set(&g, 0, 1, 2), Some(z));
-    }
-
-    #[test]
-    fn backdoor_rejects_descendants() {
-        // x → d, x → y: conditioning on d is useless but also harmless;
-        // criterion still rejects it as a candidate member.
-        let mut g = Admg::new(names(3));
-        g.add_directed(0, 2);
-        g.add_directed(0, 1);
-        let d: BTreeSet<NodeId> = [2].into_iter().collect();
-        assert!(!satisfies_backdoor(&g, 0, 1, &d));
-        // The empty set works here.
-        assert_eq!(find_backdoor_set(&g, 0, 1, 2), Some(BTreeSet::new()));
-    }
-
-    #[test]
-    fn latent_confounding_has_no_backdoor_set() {
-        let mut g = Admg::new(names(2));
-        g.add_directed(0, 1);
-        g.add_bidirected(0, 1);
-        assert_eq!(find_backdoor_set(&g, 0, 1, 1), None);
     }
 }

@@ -8,11 +8,10 @@
 //!   learned ADMG, with an empirical-g-formula do-operator, deterministic
 //!   counterfactuals (abduction–action–prediction) and conditional
 //!   prediction for unmeasured configurations.
-//! * [`ace`] — average causal effects, path ACE (appendix Eq 1) and causal
-//!   path ranking.
+//! * [`ace`](mod@ace) — average causal effects, path ACE (appendix Eq 1)
+//!   and causal path ranking.
 //! * [`repair`] — counterfactual repair sets and ICE scoring (Eqs 2–5).
-//! * [`identify`] — bow-arc identifiability screening and backdoor-set
-//!   search.
+//! * [`identify`] — bow-arc identifiability screening.
 //! * [`plan`] — the batched causal query planner: work compiles into a
 //!   deduplicated [`QueryPlan`] which [`FittedScm::evaluate_plan`]
 //!   executes as one pool-parallel, ancestor-sharing batch — answers
@@ -41,13 +40,13 @@ pub mod scm;
 pub mod sweep_cache;
 
 pub use ace::{
-    ace, ace_signed, option_aces, option_aces_planned, path_ace, quantile_values,
-    rank_causal_paths, rank_causal_paths_planned, ExplicitDomain, RankedPath, ValueDomain,
+    ace, option_aces, option_aces_planned, quantile_values, rank_causal_paths,
+    rank_causal_paths_planned, ExplicitDomain, RankedPath, ValueDomain,
 };
 pub use coalesce::{answer_coalesced, CoalescedQuery};
 pub use dsl::{parse_query, ParseError};
 pub use engine::CausalEngine;
-pub use identify::{find_backdoor_set, identifiable, satisfies_backdoor};
+pub use identify::identifiable;
 pub use plan::{
     DomainCache, DomainStore, Intervention, PlanBatch, PlanHandle, PlanResults, QueryPlan,
 };
@@ -57,4 +56,4 @@ pub use repair::{
     Repair, RepairOptions,
 };
 pub use scm::{FittedScm, ResidualMode, SIM_LANES};
-pub use sweep_cache::{sweep_cache_enabled, SweepCache, DEFAULT_SWEEP_CACHE_CAPACITY};
+pub use sweep_cache::{sweep_cache_enabled, SweepCache};

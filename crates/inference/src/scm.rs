@@ -533,7 +533,8 @@ impl FittedScm {
     }
 
     /// Training R² of a node's functional model (1.0 for roots).
-    pub fn node_r2(&self, v: NodeId) -> f64 {
+    #[cfg(test)]
+    fn node_r2(&self, v: NodeId) -> f64 {
         self.nodes[v].model.as_ref().map_or(1.0, |m| m.r2)
     }
 
@@ -750,7 +751,6 @@ impl FittedScm {
 
         let n_vars = self.n_vars();
         let strided = self.sweep_rows();
-        let stride = self.stride;
         let epoch = self.data.epoch();
 
         // Probe phase: look every sweep up at this fit's epoch. A `Some`
@@ -759,7 +759,7 @@ impl FittedScm {
         let mut buffers: Vec<Option<Arc<Vec<f64>>>> = plan
             .sweeps
             .iter()
-            .map(|sw| cache.and_then(|c| c.get(&SweepCache::signature(sw, stride), epoch)))
+            .map(|sw| cache.and_then(|c| c.get(&SweepCache::signature(sw), epoch)))
             .collect();
 
         // Per-miss-sweep execution state: the affected node set
@@ -959,7 +959,7 @@ impl FittedScm {
             if buffers[si].is_none() {
                 let buf = Arc::new(std::mem::take(&mut assembled[si]));
                 if let Some(c) = cache {
-                    c.put(SweepCache::signature(sw, stride), epoch, Arc::clone(&buf));
+                    c.put(SweepCache::signature(sw), epoch, Arc::clone(&buf));
                 }
                 buffers[si] = Some(buf);
             }

@@ -11,11 +11,12 @@
 //!
 //! # Why caching cannot change an answer
 //!
-//! * **The key is exact.** A [`SweepSignature`] hashes the canonical
+//! * **The key is exact.** A sweep's signature hashes the canonical
 //!   assignment list over the *bit patterns* of its `f64` values (plus
-//!   the target read set, the residual-mode key, and the resolved sweep
-//!   stride). Two sweeps share an entry only when the planner itself
-//!   would have deduplicated them within one plan.
+//!   the target read set and the residual-mode key). The swept rows are
+//!   not in it: the fit's stride is a function of its row count, which
+//!   the epoch tag already pins. Two sweeps share an entry only when the
+//!   planner itself would have deduplicated them within one plan.
 //! * **The value is exact.** The cache stores the per-row simulated
 //!   values of the sweep's target nodes (whole-table sweeps) or the full
 //!   simulated vector (single-row counterfactual sweeps) — never a
@@ -47,7 +48,7 @@
 //!    sweeps, whose buffers are the full simulated vector.
 //! 2. **Keep the signature canonical.** New degrees of freedom that
 //!    change simulated values (a new residual mode, a sampling knob) must
-//!    enter [`ModeKey`] or the signature — hashed over exact bits for
+//!    enter the mode key or the signature — hashed over exact bits for
 //!    `f64` parameters, never rounded.
 //! 3. **Fold row-major, ascending.** The consumer's fold must be a pure
 //!    function of the per-row buffer values applied in ascending row
@@ -72,8 +73,9 @@ use crate::plan::{ModeKey, Sweep};
 /// Everything that selects *which* values a sweep simulates and *what*
 /// the buffer records is in here: the canonical `do(·)` assignments (by
 /// exact `f64` bits), the ascending target read set (the buffer's column
-/// layout), the residual-mode key, and the resolved row stride. Data
-/// identity is deliberately absent — that is the epoch tag's job.
+/// layout) and the residual-mode key. Data identity is deliberately
+/// absent — that is the epoch tag's job, and it also fixes the swept rows
+/// (the fit's stride is `max(n / 256, 1)` over the epoch's `n` rows).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct SweepSignature {
     /// `(node, value bits)` of the canonical assignments.
@@ -82,15 +84,13 @@ pub(crate) struct SweepSignature {
     targets: Vec<NodeId>,
     /// Residual-mode identity (`f64` weights by bits).
     mode: ModeKey,
-    /// Resolved sweep stride (it selects the swept rows).
-    stride: usize,
 }
 
 /// Default total entry capacity: sized for a serving snapshot's steady
 /// working set (hundreds of distinct sweeps per query mix) while keeping
 /// the worst-case resident footprint small enough for fleet budgets —
 /// `approx_bytes` reports the actual usage for accounting either way.
-pub const DEFAULT_SWEEP_CACHE_CAPACITY: usize = 1024;
+const DEFAULT_SWEEP_CACHE_CAPACITY: usize = 1024;
 
 /// An epoch-keyed, sharded LRU from canonical sweep signatures to
 /// completed sweep result buffers (module docs). Thread-safe and cheap
@@ -109,9 +109,8 @@ impl SweepCache {
         }
     }
 
-    /// The canonical signature of a compiled sweep under a resolved
-    /// stride.
-    pub(crate) fn signature(sweep: &Sweep, stride: usize) -> SweepSignature {
+    /// The canonical signature of a compiled sweep.
+    pub(crate) fn signature(sweep: &Sweep) -> SweepSignature {
         SweepSignature {
             assignments: sweep
                 .intervention
@@ -121,7 +120,6 @@ impl SweepCache {
                 .collect(),
             targets: sweep.intervention.targets.clone(),
             mode: sweep.mode.key(),
-            stride,
         }
     }
 
@@ -218,26 +216,25 @@ mod tests {
     fn signature_is_epoch_free_and_bit_exact() {
         let plan = one_sweep_plan();
         let sw = &plan.sweeps[0];
-        let a = SweepCache::signature(sw, 2);
-        let b = SweepCache::signature(sw, 2);
+        let a = SweepCache::signature(sw);
+        let b = SweepCache::signature(sw);
         assert_eq!(a, b);
-        // A different stride or assignment bit pattern is a different key.
-        assert_ne!(a, SweepCache::signature(sw, 3));
+        // A different assignment bit pattern is a different key.
         let mut other = QueryPlan::new();
         other.expectation(3, &[(0, 1.0 + f64::EPSILON)]);
-        assert_ne!(a, SweepCache::signature(&other.sweeps[0], 2));
+        assert_ne!(a, SweepCache::signature(&other.sweeps[0]));
         // Same sweep, different target read set: different buffer layout,
         // different key.
         let mut wider = QueryPlan::new();
         wider.expectation(3, &[(0, 1.0)]);
         wider.expectation(2, &[(0, 1.0)]);
-        assert_ne!(a, SweepCache::signature(&wider.sweeps[0], 2));
+        assert_ne!(a, SweepCache::signature(&wider.sweeps[0]));
     }
 
     #[test]
     fn hits_are_epoch_exact_and_eviction_counts() {
         let plan = one_sweep_plan();
-        let sig = SweepCache::signature(&plan.sweeps[0], 1);
+        let sig = SweepCache::signature(&plan.sweeps[0]);
         let cache = SweepCache::new(8);
         assert!(cache.get(&sig, 5).is_none());
         cache.put(sig.clone(), 5, Arc::new(vec![1.5, 2.5]));

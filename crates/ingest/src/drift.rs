@@ -4,7 +4,7 @@
 //! zero at roughly unit scale (they are normalized by the training
 //! residual RMS). An environment shift — new hardware, a workload-scale
 //! flip — moves the residual mean away from zero, and a sequential
-//! change detector notices: [`PageHinkley`], a pure fold over the
+//! change detector notices: Page-Hinkley, a pure fold over the
 //! residual stream (no clocks, no randomness), so the trigger row is a
 //! deterministic function of the rows alone. It tracks the cumulative
 //! deviation of each sample from the running mean, minus a drift
@@ -52,7 +52,7 @@ impl Default for DriftOptions {
 /// against its running extremum. A single shared sum would drift by
 /// `delta` per sample and false-trigger the opposite side on pure noise.
 #[derive(Debug, Clone)]
-pub struct PageHinkley {
+struct PageHinkley {
     delta: f64,
     lambda: f64,
     min_rows: usize,
@@ -66,7 +66,7 @@ pub struct PageHinkley {
 
 impl PageHinkley {
     /// Fresh detector state with the given thresholds.
-    pub fn new(delta: f64, lambda: f64, min_rows: usize) -> Self {
+    fn new(delta: f64, lambda: f64, min_rows: usize) -> Self {
         Self {
             delta,
             lambda,
@@ -81,7 +81,7 @@ impl PageHinkley {
     }
 
     /// Folds one normalized residual; true when either side trips.
-    pub fn update(&mut self, x: f64) -> bool {
+    fn update(&mut self, x: f64) -> bool {
         self.n += 1;
         self.mean += (x - self.mean) / self.n as f64;
         let dev = x - self.mean;
@@ -94,7 +94,7 @@ impl PageHinkley {
     }
 
     /// Back to the fresh state (after a relearn re-baselines residuals).
-    pub fn reset(&mut self) {
+    fn reset(&mut self) {
         *self = Self::new(self.delta, self.lambda, self.min_rows);
     }
 }

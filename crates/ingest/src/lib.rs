@@ -44,11 +44,11 @@
 //!
 //! # The detector
 //!
-//! [`DriftBank`] runs one [`PageHinkley`] per objective: a plain state
-//! machine, `Clone` and free of dynamic dispatch in the per-row hot
-//! path, whose `update(&mut self, x) -> bool` is a pure fold over the
-//! normalized residual stream — no clocks, no randomness, no
-//! allocation-order dependence. A change to the detector must keep that
+//! [`DriftBank`] runs one Page-Hinkley detector per objective: a plain
+//! state machine, `Clone` and free of dynamic dispatch in the per-row hot
+//! path. [`DriftBank::observe`] folds one row's normalized residuals into
+//! it, a pure fold over the residual stream — no clocks, no randomness,
+//! no allocation-order dependence. A change to the detector must keep that
 //! fold pure; `drift_fold_is_chunk_invariant` in
 //! `tests/ingest_drift_determinism.rs` then asserts that no flush
 //! boundary or pool width moves a trigger row, and
@@ -64,7 +64,7 @@ pub mod drift;
 pub mod pipeline;
 pub mod queue;
 
-pub use drift::{DriftBank, DriftOptions, PageHinkley};
+pub use drift::{DriftBank, DriftOptions};
 pub use pipeline::{
     DriftStats, IngestEndpoint, IngestPipeline, IngestRouter, IngestWorker, RelearnEvent,
     RelearnReason,

@@ -69,7 +69,8 @@ impl DriftStats {
     }
 
     /// Staleness-fallback relearns so far (not drift-triggered).
-    pub fn staleness_relearns(&self) -> u64 {
+    #[cfg(test)]
+    fn staleness_relearns(&self) -> u64 {
         self.staleness_relearns.load(Ordering::Relaxed)
     }
 }

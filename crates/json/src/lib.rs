@@ -6,10 +6,10 @@
 //!
 //! The workspace has no registry access, so JSON goes through this
 //! self-contained recursive-descent parser and writer. The dialect is
-//! full JSON on input, nested at most [`MAX_DEPTH`] arrays/objects deep;
-//! on output, objects preserve insertion order and numbers render through
-//! Rust's shortest-roundtrip `f64` display, so a reply is a deterministic
-//! byte sequence — the property the CI smoke golden relies on.
+//! full JSON on input, nested at most 128 arrays/objects deep; on output,
+//! objects preserve insertion order and numbers render through Rust's
+//! shortest-roundtrip `f64` display, so a reply is a deterministic byte
+//! sequence — the property the CI smoke golden relies on.
 //!
 //! [`report`] holds the `BENCH_*.json` report row built on top of it.
 
@@ -22,7 +22,7 @@ pub mod report;
 /// would overflow the parsing thread's stack and abort the process;
 /// past this depth it returns `Err` instead. Real documents — protocol
 /// bodies and bench reports — nest a handful of levels.
-pub const MAX_DEPTH: usize = 128;
+const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value. Objects are ordered key/value lists (insertion
 /// order in, document order out) — deterministic serialization matters

@@ -84,7 +84,7 @@ struct Entry<K, V> {
 
 /// A fixed-capacity least-recently-used map: `HashMap` index into a slab of
 /// entries threaded on an intrusive doubly-linked recency list.
-pub struct LruCache<K, V> {
+struct LruCache<K, V> {
     map: HashMap<K, usize, FxBuild>,
     slab: Vec<Entry<K, V>>,
     head: usize,
@@ -94,7 +94,7 @@ pub struct LruCache<K, V> {
 
 impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// Creates a cache evicting beyond `capacity` entries.
-    pub fn new(capacity: usize) -> Self {
+    fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "LRU capacity must be positive");
         Self {
             map: HashMap::with_capacity_and_hasher(capacity.min(4096), FxBuild::default()),
@@ -106,12 +106,13 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 
     /// Number of live entries.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.map.len()
     }
 
     /// True when no entries are cached.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
 
@@ -142,7 +143,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 
     /// Drops every entry, keeping the allocated capacity for reuse.
-    pub fn clear(&mut self) {
+    fn clear(&mut self) {
         self.map.clear();
         self.slab.clear();
         self.head = NIL;
@@ -152,7 +153,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// Approximate resident bytes: per-entry slab + index overhead plus
     /// `value_bytes` of every live value. Every slab slot is live (eviction
     /// reuses the tail slot in place), so the slab *is* the value set.
-    pub fn approx_bytes(&self, mut value_bytes: impl FnMut(&V) -> usize) -> usize {
+    fn approx_bytes(&self, mut value_bytes: impl FnMut(&V) -> usize) -> usize {
         let fixed = std::mem::size_of::<Entry<K, V>>() + std::mem::size_of::<(K, usize)>();
         self.slab
             .iter()
@@ -161,12 +162,13 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 
     /// Looks up `key` without altering recency (read-only).
-    pub fn peek(&self, key: &K) -> Option<&V> {
+    fn peek(&self, key: &K) -> Option<&V> {
         self.map.get(key).map(|&i| &self.slab[i].value)
     }
 
     /// Looks up `key`, marking it most-recently used on a hit.
-    pub fn get(&mut self, key: &K) -> Option<&V> {
+    #[cfg(test)]
+    fn get(&mut self, key: &K) -> Option<&V> {
         let i = *self.map.get(key)?;
         if self.head != i {
             self.unlink(i);
@@ -179,7 +181,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// capacity. An existing key is overwritten and refreshed. Returns
     /// `true` when an unrelated entry was evicted to make room — the
     /// signal the sharded wrapper's eviction counter is built on.
-    pub fn insert(&mut self, key: K, value: V) -> bool {
+    fn insert(&mut self, key: K, value: V) -> bool {
         if let Some(&i) = self.map.get(&key) {
             self.slab[i].value = value;
             if self.head != i {
@@ -256,7 +258,7 @@ impl CacheStats {
 
 /// A sharded, mutex-protected LRU: keys hash to one of `SHARDS` independent
 /// caches so concurrent CI tests rarely contend on the same lock.
-pub struct ShardedLru<K, V> {
+struct ShardedLru<K, V> {
     shards: Vec<Mutex<LruCache<K, V>>>,
     stats: CacheStats,
 }
@@ -265,7 +267,7 @@ const SHARDS: usize = 8;
 
 impl<K: Eq + Hash + Clone, V: Clone> ShardedLru<K, V> {
     /// Creates a sharded cache with `capacity` entries in total.
-    pub fn new(capacity: usize) -> Self {
+    fn new(capacity: usize) -> Self {
         let per_shard = (capacity / SHARDS).max(1);
         Self {
             shards: (0..SHARDS)
@@ -287,41 +289,18 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedLru<K, V> {
         &self.shards[((h.finish() >> 32) as usize) % SHARDS]
     }
 
-    /// Returns the cached value for `key`, or computes, caches, and returns
-    /// it. `compute` runs outside the lock, so a race may compute twice —
-    /// harmless because every cached value is a pure function of the key.
-    pub fn get_or_insert_with(&self, key: K, compute: impl FnOnce() -> V) -> V {
-        if let Some(v) = self.shard(&key).lock().expect("lru poisoned").get(&key) {
-            self.stats.hit();
-            return v.clone();
-        }
-        self.stats.miss();
-        let v = compute();
-        if self
-            .shard(&key)
-            .lock()
-            .expect("lru poisoned")
-            .insert(key, v.clone())
-        {
-            self.stats.evicted();
-        }
-        v
-    }
-
-    /// Raw lookup without touching the hit/miss counters or the recency
-    /// list (used by the epoch-aware wrapper, which keeps its own stats;
-    /// its working sets sit far below capacity, so recency upkeep on the
-    /// read path buys nothing and the skeleton hot loop probes here
-    /// thousands of times per level).
-    pub fn peek(&self, key: &K) -> Option<V> {
+    /// Raw lookup without touching the recency list (the epoch-aware
+    /// wrapper keeps its own hit/miss stats; its working sets sit far below
+    /// capacity, so recency upkeep on the read path buys nothing and the
+    /// skeleton hot loop probes here thousands of times per level).
+    fn peek(&self, key: &K) -> Option<V> {
         let shard = self.shard(key).lock().expect("lru poisoned");
         shard.peek(key).cloned()
     }
 
-    /// Raw insert without touching the hit/miss counters (capacity
-    /// evictions are still counted — they are a property of the cache,
-    /// not of the probe discipline).
-    pub fn put(&self, key: K, value: V) {
+    /// Raw insert; capacity evictions are counted — they are a property of
+    /// the cache, not of the probe discipline.
+    fn put(&self, key: K, value: V) {
         if self
             .shard(&key)
             .lock()
@@ -332,14 +311,14 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedLru<K, V> {
         }
     }
 
-    /// Cache observability counters.
-    pub fn stats(&self) -> &CacheStats {
+    /// Cache observability counters (only evictions are recorded here).
+    fn stats(&self) -> &CacheStats {
         &self.stats
     }
 
-    /// Drops every entry in every shard (the hit/miss counters are kept —
-    /// they are cumulative observability, not cache contents).
-    pub fn clear(&self) {
+    /// Drops every entry in every shard (the eviction counter is kept — it
+    /// is cumulative observability, not cache contents).
+    fn clear(&self) {
         for shard in &self.shards {
             shard.lock().expect("lru poisoned").clear();
         }
@@ -347,7 +326,7 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedLru<K, V> {
 
     /// Approximate resident bytes across shards (see
     /// [`LruCache::approx_bytes`]); takes each shard lock briefly.
-    pub fn approx_bytes(&self, mut value_bytes: impl FnMut(&V) -> usize) -> usize {
+    fn approx_bytes(&self, mut value_bytes: impl FnMut(&V) -> usize) -> usize {
         self.shards
             .iter()
             .map(|s| {
@@ -359,7 +338,7 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedLru<K, V> {
     }
 
     /// Total number of live entries across shards.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.shards
             .iter()
             .map(|s| s.lock().expect("lru poisoned").len())
@@ -367,12 +346,12 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedLru<K, V> {
     }
 
     /// True when every shard is empty.
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }
 
-/// An epoch-tagged [`ShardedLru`]: every entry records the data epoch it
+/// An epoch-tagged, sharded LRU: every entry records the data epoch it
 /// was computed at. A lookup *hits* only when the entry's epoch matches the
 /// caller's; a mismatched entry is reported as stale, recomputed, and
 /// overwritten in place. This is what lets the `DataView` caches *survive*
@@ -490,16 +469,6 @@ impl<K, V> std::fmt::Debug for EpochLru<K, V> {
     }
 }
 
-impl<K, V> std::fmt::Debug for ShardedLru<K, V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedLru")
-            .field("shards", &self.shards.len())
-            .field("hits", &self.stats.hits())
-            .field("misses", &self.stats.misses())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -546,16 +515,6 @@ mod tests {
             assert_eq!(c.get(&i), Some(&(i * i)));
             assert_eq!(c.len(), 1);
         }
-    }
-
-    #[test]
-    fn sharded_lru_computes_once_then_hits() {
-        let c: ShardedLru<(usize, usize), f64> = ShardedLru::new(64);
-        let v1 = c.get_or_insert_with((1, 2), || 3.5);
-        let v2 = c.get_or_insert_with((1, 2), || panic!("must hit cache"));
-        assert_eq!(v1, v2);
-        assert_eq!(c.stats().hits(), 1);
-        assert_eq!(c.stats().misses(), 1);
     }
 
     #[test]
@@ -652,23 +611,5 @@ mod tests {
         assert!(two > one, "second entry must grow the estimate");
         epoch.clear();
         assert_eq!(epoch.approx_bytes(Vec::len), 0);
-    }
-
-    #[test]
-    fn sharded_lru_concurrent_access() {
-        let c: std::sync::Arc<ShardedLru<usize, usize>> = std::sync::Arc::new(ShardedLru::new(128));
-        std::thread::scope(|s| {
-            for t in 0..4 {
-                let c = std::sync::Arc::clone(&c);
-                s.spawn(move || {
-                    for i in 0..200 {
-                        let v = c.get_or_insert_with(i % 32, || (i % 32) * 7);
-                        assert_eq!(v, (i % 32) * 7);
-                        let _ = t;
-                    }
-                });
-            }
-        });
-        assert!(c.len() <= 32);
     }
 }

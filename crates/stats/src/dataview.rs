@@ -763,14 +763,16 @@ impl DataView {
     }
 
     /// Miss count of the CI-outcome cache.
-    pub fn ci_cache_misses(&self) -> u64 {
+    #[cfg(test)]
+    fn ci_cache_misses(&self) -> u64 {
         self.inner.caches.ci.stats().misses()
     }
 
     /// How many joint encodings were extended incrementally (rather than
     /// re-coded cold) along this view's lineage — observability for the
     /// O(new rows) joint-code guarantee.
-    pub fn joint_code_extensions(&self) -> u64 {
+    #[cfg(test)]
+    fn joint_code_extensions(&self) -> u64 {
         self.inner.caches.joint_extensions.load(Ordering::Relaxed)
     }
 
@@ -786,17 +788,15 @@ impl DataView {
         &self.inner.segments
     }
 
-    /// Number of storage segments (observability for tests/benches).
-    pub fn n_segments(&self) -> usize {
+    /// Number of storage segments (observability for tests).
+    #[cfg(test)]
+    fn n_segments(&self) -> usize {
         self.inner.segments.len()
     }
 
     /// Approximate resident bytes of the raw segment data (including any
-    /// materialized sorted runs and moment summaries). Segments are
-    /// `Arc`-shared across views of one lineage; callers accounting a
-    /// *set* of views should deduplicate by [`Self::segments`] `Arc`
-    /// identity before summing per-segment bytes.
-    pub fn segment_bytes(&self) -> usize {
+    /// materialized sorted runs and moment summaries).
+    fn segment_bytes(&self) -> usize {
         self.inner.segments.iter().map(|s| s.approx_bytes()).sum()
     }
 
@@ -809,9 +809,11 @@ impl DataView {
         self.inner.caches.approx_bytes()
     }
 
-    /// [`Self::segment_bytes`] + [`Self::cache_bytes`]: the whole
-    /// approximate footprint of this view (double-counts nothing within
-    /// one view; see the per-part docs for cross-view deduplication).
+    /// Raw segment bytes (sorted runs and moment summaries included) plus
+    /// [`Self::cache_bytes`]: the whole approximate footprint of this view.
+    /// It double-counts nothing within one view; when accounting many
+    /// views, deduplicate segments by [`Self::segments`] `Arc` identity and
+    /// caches by [`Self::lineage`].
     pub fn approx_bytes(&self) -> usize {
         self.segment_bytes() + self.cache_bytes()
     }
@@ -841,7 +843,8 @@ impl DataView {
 
 /// Canonicalizes a CI-cache key: orders `(x, y)` and keeps `z` sorted, so
 /// symmetric queries share one entry.
-pub fn ci_key(kind: u32, x: usize, y: usize, z: &[usize]) -> CiKey {
+#[cfg(test)]
+fn ci_key(kind: u32, x: usize, y: usize, z: &[usize]) -> CiKey {
     let (lo, hi) = if x <= y { (x, y) } else { (y, x) };
     let mut zs = SmallIdSet::from_indices(z);
     zs.sort();

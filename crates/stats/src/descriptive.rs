@@ -17,10 +17,10 @@
 //! # The blocked-kernel contract
 //!
 //! The hot-path kernels here are *blocked*: [`chunk_comoment_lanes`]
-//! advances up to [`COMOMENT_LANES`] independent pair accumulators per row
-//! so the compiler can keep several FMA chains in flight (and vectorize
-//! them). Blocking is only ever applied **across independent reductions**
-//! — never within one. Any future kernel must keep two invariants or the
+//! advances up to eight (`COMOMENT_LANES`) independent pair accumulators
+//! per row so the compiler can keep several FMA chains in flight (and
+//! vectorize them). Blocking is only ever applied **across independent
+//! reductions** — never within one. Any future kernel must keep two invariants or the
 //! house bit-exactness guarantee (cached == cold, incremental == direct,
 //! the golden quickstart transcript) breaks:
 //!
@@ -130,11 +130,11 @@ pub fn chunk_comoment(xs: &[f64], ys: &[f64], mx: f64, my: f64) -> f64 {
 /// lanes fill one AVX-512 register (two AVX2 registers) and leave the
 /// scalar fallback loop short. Changing the width never changes any bit —
 /// lanes are independent reductions — only the blocking shape.
-pub const COMOMENT_LANES: usize = 8;
+const COMOMENT_LANES: usize = 8;
 
 /// Blocked comoment kernel: the comoments of one anchor column `xs`
 /// against every partner column in `ys`, walking the chunk's rows once
-/// with [`COMOMENT_LANES`] accumulators in flight.
+/// with eight accumulators in flight.
 ///
 /// Each lane performs exactly the operation sequence of
 /// [`chunk_comoment`]`(xs, ys[k], mx, my[k])` — row-order adds from 0.0 —
@@ -260,17 +260,6 @@ pub fn max(xs: &[f64]) -> Option<f64> {
         .filter(|_| !xs.is_empty())
 }
 
-/// Z-score standardization: `(x − mean) / std`. Columns with (near-)zero
-/// variance map to all-zeros rather than dividing by ~0.
-pub fn standardize(xs: &[f64]) -> Vec<f64> {
-    let m = mean(xs);
-    let s = std_dev(xs);
-    if s < 1e-12 {
-        return vec![0.0; xs.len()];
-    }
-    xs.iter().map(|x| (x - m) / s).collect()
-}
-
 /// Mean absolute percentage error, skipping reference values within
 /// `1e-9` of zero (matching the common implementation used in the
 /// performance-modeling literature the paper builds on).
@@ -331,18 +320,6 @@ mod tests {
         assert!((quantile(&xs, 0.0) - 10.0).abs() < 1e-12);
         assert!((quantile(&xs, 1.0) - 40.0).abs() < 1e-12);
         assert!((quantile(&xs, 0.5) - 25.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn standardize_zero_mean_unit_std() {
-        let z = standardize(&[1.0, 2.0, 3.0, 4.0, 5.0]);
-        assert!(mean(&z).abs() < 1e-12);
-        assert!((std_dev(&z) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn standardize_constant_column() {
-        assert_eq!(standardize(&[3.0, 3.0, 3.0]), vec![0.0, 0.0, 0.0]);
     }
 
     #[test]

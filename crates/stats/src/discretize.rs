@@ -51,7 +51,7 @@ impl Discretizer {
     /// check gallops across the runs collecting distinct values and bails
     /// out as soon as more than `max_levels` are seen; each quantile cut
     /// is extracted as a multi-run order statistic
-    /// ([`kth_of_runs`]) — O(bins · runs · log² run) selection instead of
+    /// (`kth_of_runs`) — O(bins · runs · log² run) selection instead of
     /// the O(n log runs) merge-then-index rescan. The fit depends only on
     /// the value multiset, so the result is identical to
     /// [`Discretizer::fit_sorted`] on the merged column (asserted by
@@ -179,23 +179,6 @@ fn kth_of_runs(runs: &[&[f64]], k: usize) -> f64 {
             }
         }
     }
-}
-
-/// Convenience: fit-and-transform each column with the same settings,
-/// returning `(codes, arities)`.
-pub fn discretize_columns(
-    columns: &[Vec<f64>],
-    bins: usize,
-    max_levels: usize,
-) -> (Vec<Vec<usize>>, Vec<usize>) {
-    let mut codes = Vec::with_capacity(columns.len());
-    let mut arities = Vec::with_capacity(columns.len());
-    for col in columns {
-        let d = Discretizer::fit(col, bins, max_levels);
-        arities.push(d.arity());
-        codes.push(d.transform(col));
-    }
-    (codes, arities)
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
-//! Probability distributions (CDFs, survival functions, quantiles) needed to
-//! turn test statistics into p-values.
+//! Probability distributions (densities, CDFs, survival functions) needed
+//! to turn test statistics into p-values.
 
 #![allow(clippy::excessive_precision)] // coefficient tables are verbatim from the literature
-use crate::special::{beta_inc, erfc, gamma_p, gamma_q};
+use crate::special::{erfc, gamma_q};
 
 /// Standard normal probability density.
 pub fn normal_pdf(x: f64) -> f64 {
@@ -16,7 +16,7 @@ pub fn normal_cdf(x: f64) -> f64 {
 
 /// Standard normal survival function 1 − Φ(x), computed without
 /// cancellation for large `x`.
-pub fn normal_sf(x: f64) -> f64 {
+fn normal_sf(x: f64) -> f64 {
     0.5 * erfc(x / std::f64::consts::SQRT_2)
 }
 
@@ -25,95 +25,12 @@ pub fn normal_two_sided_p(z: f64) -> f64 {
     (2.0 * normal_sf(z.abs())).min(1.0)
 }
 
-/// Standard normal quantile Φ⁻¹(p) (Acklam's rational approximation,
-/// refined with one Halley step; |relative error| < 1e-12).
-pub fn normal_quantile(p: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&p), "quantile domain");
-    if p == 0.0 {
-        return f64::NEG_INFINITY;
-    }
-    if p == 1.0 {
-        return f64::INFINITY;
-    }
-    const A: [f64; 6] = [
-        -3.969683028665376e+01,
-        2.209460984245205e+02,
-        -2.759285104469687e+02,
-        1.383577518672690e+02,
-        -3.066479806614716e+01,
-        2.506628277459239e+00,
-    ];
-    const B: [f64; 5] = [
-        -5.447609879822406e+01,
-        1.615858368580409e+02,
-        -1.556989798598866e+02,
-        6.680131188771972e+01,
-        -1.328068155288572e+01,
-    ];
-    const C: [f64; 6] = [
-        -7.784894002430293e-03,
-        -3.223964580411365e-01,
-        -2.400758277161838e+00,
-        -2.549732539343734e+00,
-        4.374664141464968e+00,
-        2.938163982698783e+00,
-    ];
-    const D: [f64; 4] = [
-        7.784695709041462e-03,
-        3.224671290700398e-01,
-        2.445134137142996e+00,
-        3.754408661907416e+00,
-    ];
-    const P_LOW: f64 = 0.02425;
-    let x = if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - P_LOW {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        let q = (-2.0 * (1.0 - p).ln()).sqrt();
-        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    };
-    // One Halley refinement step.
-    let e = normal_cdf(x) - p;
-    let u = e * (2.0 * std::f64::consts::PI).sqrt() * (x * x / 2.0).exp();
-    x - u / (1.0 + x * u / 2.0)
-}
-
-/// Chi-squared cumulative distribution with `df` degrees of freedom.
-pub fn chi2_cdf(x: f64, df: f64) -> f64 {
-    if x <= 0.0 {
-        return 0.0;
-    }
-    gamma_p(df / 2.0, x / 2.0)
-}
-
 /// Chi-squared survival function (upper-tail p-value).
 pub fn chi2_sf(x: f64, df: f64) -> f64 {
     if x <= 0.0 {
         return 1.0;
     }
     gamma_q(df / 2.0, x / 2.0)
-}
-
-/// Two-sided p-value of a Student-t statistic with `df` degrees of freedom.
-pub fn t_two_sided_p(t: f64, df: f64) -> f64 {
-    let x = df / (df + t * t);
-    beta_inc(df / 2.0, 0.5, x).clamp(0.0, 1.0)
-}
-
-/// Survival function of the F distribution with `(d1, d2)` degrees of
-/// freedom — used for regression term significance.
-pub fn f_sf(f: f64, d1: f64, d2: f64) -> f64 {
-    if f <= 0.0 {
-        return 1.0;
-    }
-    beta_inc(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * f)).clamp(0.0, 1.0)
 }
 
 #[cfg(test)]
@@ -132,34 +49,11 @@ mod tests {
     }
 
     #[test]
-    fn normal_quantile_inverts_cdf() {
-        for &p in &[0.001, 0.025, 0.2, 0.5, 0.8, 0.975, 0.999] {
-            assert_close(normal_cdf(normal_quantile(p)), p, 1e-10);
-        }
-    }
-
-    #[test]
     fn chi2_known_values() {
-        // P(χ²₁ ≤ 3.841) ≈ 0.95.
-        assert_close(chi2_cdf(3.841_458_820_694_124, 1.0), 0.95, 1e-9);
-        // P(χ²₅ ≤ 11.0705) ≈ 0.95.
-        assert_close(chi2_cdf(11.070_497_693_516_351, 5.0), 0.95, 1e-9);
+        // P(χ²₁ > 3.841) ≈ 0.05.
+        assert_close(chi2_sf(3.841_458_820_694_124, 1.0), 0.05, 1e-9);
+        // P(χ²₅ > 11.0705) ≈ 0.05.
         assert_close(chi2_sf(11.070_497_693_516_351, 5.0), 0.05, 1e-9);
-    }
-
-    #[test]
-    fn t_p_value_matches_normal_for_large_df() {
-        let p_t = t_two_sided_p(1.96, 1e7);
-        let p_n = normal_two_sided_p(1.96);
-        assert_close(p_t, p_n, 1e-5);
-    }
-
-    #[test]
-    fn f_sf_is_monotone() {
-        let a = f_sf(1.0, 3.0, 10.0);
-        let b = f_sf(2.0, 3.0, 10.0);
-        let c = f_sf(4.0, 3.0, 10.0);
-        assert!(a > b && b > c);
     }
 
     #[test]

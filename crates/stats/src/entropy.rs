@@ -101,11 +101,6 @@ pub fn joint_entropy(xs: &[usize], ys: &[usize]) -> f64 {
         .sum()
 }
 
-/// Conditional entropy H(X | Y) = H(X, Y) − H(Y).
-pub fn conditional_entropy(xs: &[usize], ys: &[usize]) -> f64 {
-    (joint_entropy(xs, ys) - entropy(ys)).max(0.0)
-}
-
 /// Mutual information I(X; Y) = H(X) + H(Y) − H(X, Y); clamped at 0 to
 /// absorb floating-point negatives.
 ///
@@ -392,14 +387,6 @@ mod tests {
             cmi.to_bits(),
             conditional_mutual_information_bounded(&xs, &ys, &zs, 6, 4, 3).to_bits()
         );
-    }
-
-    #[test]
-    fn conditional_entropy_chain_rule() {
-        let xs = [0, 1, 0, 1, 1, 0];
-        let ys = [0, 0, 1, 1, 0, 1];
-        let h = conditional_entropy(&xs, &ys);
-        assert!((h - (joint_entropy(&xs, &ys) - entropy(&ys))).abs() < 1e-12);
     }
 
     #[test]

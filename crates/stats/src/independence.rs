@@ -56,8 +56,8 @@ fn canonical<'a>(
     }
 }
 
-/// Cache key for already-canonical arguments (avoids the re-sort that
-/// [`crate::dataview::ci_key`] performs for arbitrary callers). The
+/// Cache key for already-canonical arguments (`x <= y`, `z` sorted, so
+/// symmetric queries share one entry without a re-sort). The
 /// conditioning set lands in an inline [`SmallIdSet`], so keys for sets of
 /// at most 8 variables are allocation-free.
 fn key_of(kind: u32, x: usize, y: usize, z: &[usize]) -> CiKey {

@@ -27,21 +27,21 @@ pub mod segment;
 pub mod smallset;
 pub mod special;
 
-pub use cache::{CacheStats, EpochLru, LruCache, ShardedLru};
+pub use cache::{CacheStats, EpochLru};
 pub use correlation::{correlation_matrix, partial_correlation, pearson, spearman};
 pub use dataview::{ColumnCodes, ColumnStats, DataView, JointCodes};
-pub use descriptive::{mape, mean, median, quantile, r_squared, standardize, std_dev, variance};
-pub use discretize::{discretize_columns, Discretizer};
+pub use descriptive::{mape, mean, median, quantile, r_squared, std_dev, variance};
+pub use discretize::Discretizer;
 pub use entropy::{
     conditional_mutual_information, conditional_mutual_information_bounded,
     conditional_mutual_information_sparse, entropy, mutual_information, mutual_information_bounded,
     mutual_information_sparse,
 };
 pub use independence::{CiOutcome, CiTest, FisherZ, GTest, MixedTest};
-pub use matrix::{ols, Matrix};
+pub use matrix::Matrix;
 pub use pareto::{dominates, hypervolume_2d, hypervolume_error, pareto_front};
-pub use ranking::{jaccard, ranks_with_ties, weighted_jaccard};
-pub use regression::{bic, fit_terms, stepwise_fit, PolyModel, StepwiseOptions, Term};
+pub use ranking::{ranks_with_ties, weighted_jaccard};
+pub use regression::{stepwise_fit, PolyModel, StepwiseOptions, Term};
 pub use smallset::SmallIdSet;
 
 /// Errors surfaced by the numerics layer.
@@ -49,23 +49,15 @@ pub use smallset::SmallIdSet;
 pub enum StatsError {
     /// Operation requires a square matrix.
     NotSquare,
-    /// Cholesky factorization of a non-positive-definite matrix.
-    NotPositiveDefinite,
     /// Matrix is numerically singular.
     Singular,
-    /// Incompatible dimensions.
-    DimensionMismatch,
 }
 
 impl std::fmt::Display for StatsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StatsError::NotSquare => write!(f, "matrix is not square"),
-            StatsError::NotPositiveDefinite => {
-                write!(f, "matrix is not positive definite")
-            }
             StatsError::Singular => write!(f, "matrix is singular"),
-            StatsError::DimensionMismatch => write!(f, "dimension mismatch"),
         }
     }
 }

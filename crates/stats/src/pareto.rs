@@ -68,37 +68,6 @@ pub fn hypervolume_2d(front: &[Vec<f64>], r: &[f64; 2]) -> f64 {
     hv2d_sweep(&mut pts, r)
 }
 
-/// 3-D hypervolume via slicing over the third objective.
-pub fn hypervolume_3d(front: &[Vec<f64>], r: &[f64; 3]) -> f64 {
-    let mut pts: Vec<&Vec<f64>> = front
-        .iter()
-        .filter(|p| p[0] < r[0] && p[1] < r[1] && p[2] < r[2])
-        .collect();
-    if pts.is_empty() {
-        return 0.0;
-    }
-    // Sort by the z coordinate; integrate 2-D slabs between consecutive
-    // z levels using all points at or below that level. The sweep absorbs
-    // dominated projections, so each slab borrows scalar pairs instead of
-    // cloning and front-filtering the point set.
-    pts.sort_by(|a, b| a[2].partial_cmp(&b[2]).expect("NaN in hypervolume"));
-    let mut hv = 0.0;
-    for (k, p) in pts.iter().enumerate() {
-        let z_lo = p[2];
-        let z_hi = if k + 1 < pts.len() {
-            pts[k + 1][2]
-        } else {
-            r[2]
-        };
-        if z_hi <= z_lo {
-            continue;
-        }
-        let mut slice: Vec<(f64, f64)> = pts[..=k].iter().map(|q| (q[0], q[1])).collect();
-        hv += hv2d_sweep(&mut slice, &[r[0], r[1]]) * (z_hi - z_lo);
-    }
-    hv
-}
-
 /// Hypervolume error of an approximation front against a reference front:
 /// `(HV(reference) − HV(approx)) / HV(reference)`, clamped at 0
 /// (Zitzler et al. 2007, as used in the paper's Fig 15c).
@@ -165,18 +134,6 @@ mod tests {
         assert_eq!(hypervolume_error(&f, &f, &[5.0, 5.0]), 0.0);
         let worse = vec![vec![3.0, 3.0]];
         assert!(hypervolume_error(&worse, &f, &[5.0, 5.0]) > 0.0);
-    }
-
-    #[test]
-    fn hypervolume_3d_box() {
-        let hv = hypervolume_3d(&[vec![1.0, 1.0, 1.0]], &[2.0, 2.0, 2.0]);
-        assert!((hv - 1.0).abs() < 1e-12);
-        // Two staggered points.
-        let hv2 = hypervolume_3d(
-            &[vec![1.0, 1.0, 1.0], vec![0.0, 0.0, 1.5]],
-            &[2.0, 2.0, 2.0],
-        );
-        assert!(hv2 > hv);
     }
 
     #[test]

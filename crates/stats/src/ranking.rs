@@ -25,16 +25,6 @@ pub fn ranks_with_ties(xs: &[f64]) -> Vec<f64> {
     ranks
 }
 
-/// Plain Jaccard similarity of two sets of indices.
-pub fn jaccard(a: &BTreeSet<usize>, b: &BTreeSet<usize>) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    let inter = a.intersection(b).count() as f64;
-    let union = a.union(b).count() as f64;
-    inter / union
-}
-
 /// Weighted Jaccard similarity, the paper's accuracy metric (§6):
 /// `Σ w(A∩B) / Σ w(A∪B)` where `w` maps each element to its weight (the
 /// ground-truth average causal effect of the option on the objective).
@@ -89,13 +79,6 @@ mod tests {
     fn ranks_handle_ties() {
         let r = ranks_with_ties(&[10.0, 20.0, 20.0, 30.0]);
         assert_eq!(r, vec![1.0, 2.5, 2.5, 4.0]);
-    }
-
-    #[test]
-    fn jaccard_basic() {
-        assert!((jaccard(&set(&[1, 2, 3]), &set(&[2, 3, 4])) - 0.5).abs() < 1e-12);
-        assert_eq!(jaccard(&set(&[]), &set(&[])), 1.0);
-        assert_eq!(jaccard(&set(&[1]), &set(&[2])), 0.0);
     }
 
     #[test]

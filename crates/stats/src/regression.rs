@@ -144,7 +144,7 @@ impl PolyModel {
 ///
 /// Like the moment layer in [`crate::descriptive`], Grams are defined
 /// *canonically* over fixed [`MOMENT_CHUNK`]-row chunks summed in row
-/// order: [`fit_terms`] folds per-chunk Grams exactly as an incremental
+/// order: a cold fit folds per-chunk Grams exactly as an incremental
 /// consumer folds cached per-segment Grams, so a warm-started refit over
 /// shared segments is bit-identical to a cold fit.
 #[derive(Debug, Clone)]
@@ -241,7 +241,7 @@ impl TermGram {
 }
 
 /// The canonical chunked Gram of a full column-major dataset.
-pub fn gram_of_columns(columns: &[Vec<f64>], y: &[f64], terms: &[Term]) -> TermGram {
+fn gram_of_columns(columns: &[Vec<f64>], y: &[f64], terms: &[Term]) -> TermGram {
     let n = y.len();
     let mut gram = TermGram::zeros(terms.len());
     let mut start = 0;
@@ -282,12 +282,12 @@ pub fn fit_gram(
 
 /// Fits OLS coefficients for a fixed term set (canonical chunked normal
 /// equations; see [`TermGram`]).
-pub fn fit_terms(columns: &[Vec<f64>], y: &[f64], terms: &[Term]) -> Result<PolyModel, StatsError> {
+fn fit_terms(columns: &[Vec<f64>], y: &[f64], terms: &[Term]) -> Result<PolyModel, StatsError> {
     fit_gram(&gram_of_columns(columns, y, terms), columns, y, terms)
 }
 
 /// Bayesian information criterion of a fitted model (lower is better).
-pub fn bic(model: &PolyModel, n: usize) -> f64 {
+fn bic(model: &PolyModel, n: usize) -> f64 {
     let k = model.terms.len() as f64;
     let n = n as f64;
     n * model.sigma2.ln() + k * n.ln()

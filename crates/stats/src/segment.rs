@@ -34,7 +34,7 @@ pub fn n_pairs(p: usize) -> usize {
 /// are contiguous in the packed layout — handing each anchor's partner
 /// block to the lane-blocked kernel, so every pair's accumulation stays
 /// bit-identical to [`crate::descriptive::chunk_comoment`] while up to
-/// [`crate::descriptive::COMOMENT_LANES`] pairs advance per row. Shared by
+/// eight pairs advance per row. Shared by
 /// [`Segment::stats`] (the cached path) and
 /// [`crate::correlation::correlation_matrix`] (the direct path), so the
 /// two stay bit-identical by construction.

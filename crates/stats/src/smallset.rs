@@ -2,18 +2,18 @@
 //!
 //! The skeleton hot loop probes the CI-outcome LRU once per conditioning
 //! set; with `Vec<u32>` keys every probe allocates. [`SmallIdSet`] stores up
-//! to [`SmallIdSet::INLINE`] ids on the stack (conditioning sets are almost
-//! always tiny — the default search depth is 2) and spills to a boxed slice
-//! only beyond that. Equality and hashing are defined over the logical
-//! slice, so an inline set and a spilled set with the same ids compare and
-//! hash identically.
+//! to eight ids on the stack (conditioning sets are almost always tiny —
+//! the default search depth is 2) and spills to a boxed slice only beyond
+//! that. Equality and hashing are defined over the logical slice, so an
+//! inline set and a spilled set with the same ids compare and hash
+//! identically.
 
 use std::hash::{Hash, Hasher};
 
 /// A compact sequence of `u32` ids: inline up to 8, heap-spilled beyond.
 #[derive(Debug, Clone)]
 pub enum SmallIdSet {
-    /// Stack storage for at most [`SmallIdSet::INLINE`] ids.
+    /// Stack storage for at most eight ids.
     Inline {
         /// Number of live ids in `buf`.
         len: u8,
@@ -26,10 +26,11 @@ pub enum SmallIdSet {
 
 impl SmallIdSet {
     /// Maximum inline length.
-    pub const INLINE: usize = 8;
+    const INLINE: usize = 8;
 
     /// Builds from a slice of ids (inline when it fits).
-    pub fn from_slice(ids: &[u32]) -> Self {
+    #[cfg(test)]
+    fn from_slice(ids: &[u32]) -> Self {
         if ids.len() <= Self::INLINE {
             let mut buf = [0u32; Self::INLINE];
             buf[..ids.len()].copy_from_slice(ids);

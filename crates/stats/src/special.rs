@@ -7,8 +7,10 @@
 //! decision thresholds (α ≈ 0.01–0.05) used by causal discovery.
 
 #![allow(clippy::excessive_precision)] // coefficient tables are verbatim from the literature
-/// The error function `erf(x)`, accurate to ~1e-12.
-pub fn erf(x: f64) -> f64 {
+/// The error function `erf(x)`, accurate to ~1e-12; the reference the
+/// tests check `erfc` against.
+#[cfg(test)]
+fn erf(x: f64) -> f64 {
     1.0 - erfc(x)
 }
 
@@ -68,7 +70,7 @@ pub fn erfc(x: f64) -> f64 {
 
 /// Natural log of the gamma function, via the Lanczos approximation
 /// (g = 7, n = 9 coefficients; |error| < 1e-13 for x > 0).
-pub fn ln_gamma(x: f64) -> f64 {
+fn ln_gamma(x: f64) -> f64 {
     const G: f64 = 7.0;
     const COEF: [f64; 9] = [
         0.999_999_999_999_809_93,
@@ -98,8 +100,10 @@ pub fn ln_gamma(x: f64) -> f64 {
 /// Regularized lower incomplete gamma function `P(a, x)`.
 ///
 /// Series expansion for `x < a + 1`, continued fraction otherwise
-/// (Numerical Recipes `gammp`).
-pub fn gamma_p(a: f64, x: f64) -> f64 {
+/// (Numerical Recipes `gammp`); the reference the tests check `gamma_q`
+/// against.
+#[cfg(test)]
+fn gamma_p(a: f64, x: f64) -> f64 {
     assert!(a > 0.0 && x >= 0.0, "gamma_p domain");
     if x == 0.0 {
         return 0.0;
@@ -166,67 +170,6 @@ fn gamma_cf(a: f64, x: f64) -> f64 {
     (-x + a * x.ln() - ln_gamma(a)).exp() * h
 }
 
-/// Regularized incomplete beta function `I_x(a, b)` via the continued
-/// fraction of Numerical Recipes (`betai`).
-pub fn beta_inc(a: f64, b: f64, x: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&x), "beta_inc domain");
-    if x == 0.0 || x == 1.0 {
-        return x;
-    }
-    let ln_front = ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b) + a * x.ln() + b * (1.0 - x).ln();
-    let front = ln_front.exp();
-    if x < (a + 1.0) / (a + b + 2.0) {
-        front * beta_cf(a, b, x) / a
-    } else {
-        1.0 - front * beta_cf(b, a, 1.0 - x) / b
-    }
-}
-
-fn beta_cf(a: f64, b: f64, x: f64) -> f64 {
-    const FPMIN: f64 = 1e-300;
-    let qab = a + b;
-    let qap = a + 1.0;
-    let qam = a - 1.0;
-    let mut c = 1.0;
-    let mut d = 1.0 - qab * x / qap;
-    if d.abs() < FPMIN {
-        d = FPMIN;
-    }
-    d = 1.0 / d;
-    let mut h = d;
-    for m in 1..300 {
-        let m = m as f64;
-        let m2 = 2.0 * m;
-        let aa = m * (b - m) * x / ((qam + m2) * (a + m2));
-        d = 1.0 + aa * d;
-        if d.abs() < FPMIN {
-            d = FPMIN;
-        }
-        c = 1.0 + aa / c;
-        if c.abs() < FPMIN {
-            c = FPMIN;
-        }
-        d = 1.0 / d;
-        h *= d * c;
-        let aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2));
-        d = 1.0 + aa * d;
-        if d.abs() < FPMIN {
-            d = FPMIN;
-        }
-        c = 1.0 + aa / c;
-        if c.abs() < FPMIN {
-            c = FPMIN;
-        }
-        d = 1.0 / d;
-        let del = d * c;
-        h *= del;
-        if (del - 1.0).abs() < 1e-14 {
-            break;
-        }
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,19 +217,5 @@ mod tests {
         for &x in &[0.2, 1.0, 3.0] {
             assert_close(gamma_p(1.0, x), 1.0 - (-x).exp(), 1e-10);
         }
-    }
-
-    #[test]
-    fn beta_inc_uniform_special_case() {
-        // I_x(1, 1) = x.
-        for &x in &[0.1, 0.5, 0.9] {
-            assert_close(beta_inc(1.0, 1.0, x), x, 1e-10);
-        }
-        // Symmetry: I_x(a, b) = 1 - I_{1-x}(b, a).
-        assert_close(
-            beta_inc(2.0, 5.0, 0.3),
-            1.0 - beta_inc(5.0, 2.0, 0.7),
-            1e-10,
-        );
     }
 }

@@ -207,14 +207,21 @@ impl ConfigSpace {
         c
     }
 
-    /// Hamming distance between two configurations (number of options on
-    /// different grid points).
-    pub fn config_distance(&self, a: &Config, b: &Config) -> usize {
+    /// Options whose grid position differs between two configurations, in
+    /// ascending index order.
+    pub fn changed_options(&self, a: &Config, b: &Config) -> Vec<usize> {
         self.options
             .iter()
             .enumerate()
             .filter(|(i, o)| o.nearest_index(a.values[*i]) != o.nearest_index(b.values[*i]))
-            .count()
+            .map(|(i, _)| i)
+            .collect()
+    }
+
+    /// Hamming distance between two configurations (number of options on
+    /// different grid points).
+    pub fn config_distance(&self, a: &Config, b: &Config) -> usize {
+        self.changed_options(a, b).len()
     }
 }
 
@@ -301,5 +308,16 @@ mod tests {
     fn duplicate_names_rejected() {
         let mut s = space();
         s.add("a", &[1.0], OptionKind::Software);
+    }
+
+    #[test]
+    fn changed_options_detects_grid_moves() {
+        let space = crate::systems::SubjectSystem::X264.build().space;
+        let a = space.default_config();
+        let mut b = a.clone();
+        b.values[0] = space.option(0).values[0];
+        let diff = space.changed_options(&a, &b);
+        // Default of option 0 is index 1, so moving to index 0 is a change.
+        assert_eq!(diff, vec![0]);
     }
 }

@@ -111,7 +111,7 @@ fn single_option_recovery(sim: &Simulator, fault: &Config, option: usize, object
 /// Ground-truth per-option ACE on an objective: mean absolute change of
 /// the noiseless objective when sweeping the option's grid, averaged over
 /// random base configurations.
-pub fn true_option_ace(
+fn true_option_ace(
     sim: &Simulator,
     option: usize,
     objective: usize,

@@ -32,10 +32,10 @@ pub mod systems;
 pub use config::{Config, ConfigOption, ConfigSpace, OptionKind};
 pub use dataset::{generate, Dataset};
 pub use environment::{EnvParams, Environment, Hardware, HardwareProfile, Workload};
-pub use faults::{discover_faults, true_option_ace, Fault, FaultCatalog, FaultDiscoveryOptions};
+pub use faults::{discover_faults, Fault, FaultCatalog, FaultDiscoveryOptions};
 pub use gtm::{EnvExp, LatentConfounder, SystemBuilder, SystemModel, Transform};
 pub use measurement::{Sample, Simulator};
 pub use scenario::{EnvShift, Interaction, Scenario, ScenarioKind, ScenarioRegistry, ScenarioSpec};
-pub use substrate::{AppWeights, ObjectiveWeights, BASE_EVENTS};
+pub use substrate::{AppWeights, ObjectiveWeights};
 pub use synthetic::CacheScenario;
 pub use systems::SubjectSystem;

@@ -30,9 +30,9 @@
 //!   Tweak individual [`ScenarioSpec`] fields for custom domain sizes,
 //!   noise, or an [`EnvShift`]; names derive from the spec's
 //!   options/interaction/objectives/confounders, so points differing
-//!   only in other fields need [`Scenario::with_name`].
+//!   only in other fields need `Scenario::with_name`.
 //! * **A new real system** — implement its ground-truth model with
-//!   [`SystemBuilder`](crate::gtm::SystemBuilder) under
+//!   [`SystemBuilder`] under
 //!   [`crate::systems`], add a [`SubjectSystem`] variant, and register it
 //!   with `reg.add(Scenario::real(SubjectSystem::New, Hardware::Tx2))`.
 //! * **A transfer scenario** — attach a shift to any entry:
@@ -94,7 +94,7 @@ pub struct EnvShift {
 
 impl EnvShift {
     /// Hardware-only shift (the Fig 16 regime).
-    pub fn to_hardware(hw: Hardware) -> Self {
+    fn to_hardware(hw: Hardware) -> Self {
         Self {
             hardware: Some(hw),
             workload_scale: None,
@@ -174,7 +174,7 @@ impl ScenarioSpec {
     /// Canonical registry name, e.g. `synth-opt30-dense-2obj` (with a
     /// `-conf{n}` suffix when latents are planted). Family points that
     /// differ only in noise, domain sizes, or structure seed derive the
-    /// same name — register those under [`Scenario::with_name`].
+    /// same name — register those under `Scenario::with_name`.
     pub fn name(&self) -> String {
         let mut name = format!(
             "synth-opt{}-{}-{}obj",
@@ -473,7 +473,7 @@ impl Scenario {
     }
 
     /// Attaches an environment shift (enables the transfer stage).
-    pub fn with_shift(mut self, shift: EnvShift) -> Self {
+    fn with_shift(mut self, shift: EnvShift) -> Self {
         self.shift = Some(shift);
         self
     }
@@ -487,7 +487,7 @@ impl Scenario {
     /// Overrides the registry name — required when registering several
     /// family points whose derived names collide (specs differing only in
     /// noise, domain sizes, or structure seed).
-    pub fn with_name(mut self, name: &str) -> Self {
+    fn with_name(mut self, name: &str) -> Self {
         self.name = name.to_string();
         self
     }
@@ -522,7 +522,7 @@ impl Scenario {
     }
 
     /// The shifted (transfer-target) environment, when a shift is set.
-    pub fn target_environment(&self) -> Option<Environment> {
+    fn target_environment(&self) -> Option<Environment> {
         self.shift.as_ref().map(|s| s.apply(&self.environment()))
     }
 

@@ -11,29 +11,6 @@
 use crate::config::OptionKind;
 use crate::gtm::{EnvExp, SystemBuilder};
 
-/// Names of the 19 base system events, in definition order (Table 10).
-pub const BASE_EVENTS: [&str; 19] = [
-    "Instructions",
-    "Cycles",
-    "Cache References",
-    "Cache Misses",
-    "L1 dcache Loads",
-    "L1 dcache Load Misses",
-    "L1 dcache Stores",
-    "Branch Loads",
-    "Branch Loads Misses",
-    "Branch Misses",
-    "Context Switches",
-    "Migrations",
-    "Major Faults",
-    "Minor Faults",
-    "Scheduler Wait Time",
-    "Scheduler Sleep Time",
-    "Number of Syscall Enter",
-    "Number of Syscall Exit",
-    "Emulation Faults",
-];
-
 /// Adds the 22 kernel options (Table 8) and 4 hardware options (Table 9).
 pub fn add_stack_options(b: &mut SystemBuilder) {
     // Kernel options — values straight from appendix Table 8. Defaults
@@ -562,7 +539,6 @@ mod tests {
         assert_eq!(m.n_options(), 27);
         assert_eq!(m.n_events(), 19);
         assert_eq!(m.n_objectives(), 3);
-        assert_eq!(BASE_EVENTS.len(), 19);
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! Synthetic micro-scenarios: the paper's Fig 1 cache-policy confounder
-//! and small canonical structures used by tests and the Fig 1/19/20
-//! benches.
+//! Synthetic micro-scenario: the paper's Fig 1 cache-policy confounder,
+//! used by tests and the Fig 1/19/20 benches.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -67,26 +66,6 @@ impl CacheScenario {
     }
 }
 
-/// Generates a linear chain `X₀ → X₁ → … → X_{k−1}` with unit slopes and
-/// the given noise, for structure-learning tests.
-pub fn linear_chain(k: usize, n: usize, noise: f64, seed: u64) -> Vec<Vec<f64>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut cols = vec![Vec::with_capacity(n); k];
-    for _ in 0..n {
-        let mut prev = 0.0;
-        for (j, col) in cols.iter_mut().enumerate() {
-            let v = if j == 0 {
-                rng.gen::<f64>() * 4.0 - 2.0
-            } else {
-                prev + noise * (rng.gen::<f64>() - 0.5)
-            };
-            col.push(v);
-            prev = v;
-        }
-    }
-    cols
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,14 +87,5 @@ mod tests {
             let r = pearson(&m, &t);
             assert!(r < -0.2, "stratum {p}: r = {r}");
         }
-    }
-
-    #[test]
-    fn chain_generator_shapes() {
-        let cols = linear_chain(4, 100, 0.1, 2);
-        assert_eq!(cols.len(), 4);
-        assert_eq!(cols[0].len(), 100);
-        // Adjacent columns strongly correlated.
-        assert!(pearson(&cols[1], &cols[2]) > 0.9);
     }
 }

@@ -15,7 +15,7 @@
 //! |--------|-------|----------|
 //! | [`exec`] | `unicorn-exec` | the persistent worker pool every parallel stage fans out over |
 //! | [`stats`] | `unicorn-stats` | numerics, CI tests, entropy, regression, Pareto, the `DataView` data layer |
-//! | [`graph`] | `unicorn-graph` | PAGs, ADMGs, m-separation, causal paths, SHD |
+//! | [`graph`] | `unicorn-graph` | PAGs, ADMGs, causal paths, SHD |
 //! | [`discovery`] | `unicorn-discovery` | PC-stable, FCI, LatentSearch, entropic orientation |
 //! | [`inference`] | `unicorn-inference` | fitted SCMs, ACE/ICE, repairs, queries |
 //! | [`systems`] | `unicorn-systems` | simulated testbed, fault catalog, environments |

@@ -4,9 +4,8 @@
 //! `DataView`) produces a graph, sepsets, and CI-test-count trace
 //! **bit-identical** to a cold recomputation
 //! ([`learn_causal_model_on`] over a fresh view) at every step — and the
-//! whole trace is independent of the worker-thread count (1, 2, 8; the
-//! same values `UNICORN_THREADS` feeds through
-//! `DiscoveryOptions::threads`).
+//! whole trace is independent of the worker-thread count (pools of 1, 2
+//! and 8 workers supplied through `DiscoveryOptions::exec`).
 
 use proptest::prelude::*;
 
@@ -14,6 +13,7 @@ use unicorn::discovery::{
     learn_causal_model_incremental, learn_causal_model_on, DiscoveryOptions, LearnedModel,
     RelearnSession,
 };
+use unicorn::exec::Executor;
 use unicorn::graph::{TierConstraints, VarKind};
 use unicorn::stats::dataview::DataView;
 
@@ -110,7 +110,7 @@ proptest! {
                 max_depth: 2,
                 pds_depth: 1,
                 objective_completion: 2,
-                threads: Some(threads),
+                exec: Some(Executor::new(threads)),
                 ..DiscoveryOptions::default()
             };
             let mut session = RelearnSession::default();
@@ -166,7 +166,7 @@ fn single_row_appends_match_batched_and_cold() {
         alpha: 0.01,
         max_depth: 2,
         pds_depth: 1,
-        threads: Some(2),
+        exec: Some(Executor::new(2)),
         ..DiscoveryOptions::default()
     };
 

@@ -36,14 +36,18 @@ impl ValueDomain for ExplicitDomain {
 }
 
 /// Builds empirical quantile values (min, q25, median, q75, max) for a
-/// data column — the sweep grid for non-enumerable variables.
+/// data column — the sweep grid for non-enumerable variables. The column
+/// is sorted once and all five levels read from that copy, bit-identical
+/// to five [`unicorn_stats::quantile`] calls.
 pub fn quantile_values(column: &[f64]) -> Vec<f64> {
     if column.is_empty() {
         return vec![0.0];
     }
+    let mut sorted = column.to_vec();
+    unicorn_stats::sort_ascending(&mut sorted);
     let mut vals: Vec<f64> = [0.0, 0.25, 0.5, 0.75, 1.0]
         .iter()
-        .map(|&q| unicorn_stats::quantile(column, q))
+        .map(|&q| unicorn_stats::quantile_sorted(&sorted, q))
         .collect();
     vals.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
     vals
@@ -373,5 +377,32 @@ mod tests {
         assert_eq!(v, vec![1.0]);
         let v2 = quantile_values(&[0.0, 1.0, 2.0, 3.0, 4.0]);
         assert_eq!(v2.len(), 5);
+    }
+
+    /// One sort per column reads the same bits as a sort per level: the
+    /// five-`quantile` body `quantile_values` replaced is the oracle.
+    #[test]
+    fn quantile_values_match_five_quantile_calls() {
+        let reference = |column: &[f64]| {
+            let mut vals: Vec<f64> = [0.0, 0.25, 0.5, 0.75, 1.0]
+                .iter()
+                .map(|&q| unicorn_stats::quantile(column, q))
+                .collect();
+            vals.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
+            vals
+        };
+        let columns: [&[f64]; 6] = [
+            &[3.5],
+            &[2.0, -1.25],
+            &[0.3, -7.0, 1e9, 0.1, 2.2],
+            &[4.0; 5],
+            &[1.0, 0.0, 1.0, 2.0, 0.0, 1.0, 1.0],
+            &[0.0, -0.0, 5.0, -0.0, 0.0],
+        ];
+        for column in columns {
+            let (got, want) = (quantile_values(column), reference(column));
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "column {column:?}");
+        }
     }
 }

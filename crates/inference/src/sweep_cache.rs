@@ -96,7 +96,10 @@ const DEFAULT_SWEEP_CACHE_CAPACITY: usize = 1024;
 /// completed sweep result buffers (module docs). Thread-safe and cheap
 /// to share: the serving path holds one per tenant state, attached to
 /// every fitted SCM along the same lineage, so it survives admission
-/// windows, keep-alive connections, and epoch bumps alike.
+/// windows, keep-alive connections, and epoch bumps alike. Like every
+/// [`EpochLru`], it evicts by insertion order: a probe that hits does not
+/// refresh its entry, so at capacity a hot sweep can go before colder
+/// sweeps inserted after it.
 pub struct SweepCache {
     inner: EpochLru<SweepSignature, Arc<Vec<f64>>>,
 }

@@ -69,8 +69,7 @@ impl DriftStats {
     }
 
     /// Staleness-fallback relearns so far (not drift-triggered).
-    #[cfg(test)]
-    fn staleness_relearns(&self) -> u64 {
+    pub fn staleness_relearns(&self) -> u64 {
         self.staleness_relearns.load(Ordering::Relaxed)
     }
 }

@@ -225,10 +225,11 @@ fn dispatch(
 /// interventional sweep-cache counters (`enabled:false` zeros when
 /// `UNICORN_SWEEP_CACHE` disables caching), its accounted resident
 /// bytes, the admission queue's coalescing counters, and the tenant's
-/// ingest/drift counters (zeros when the tenant has no ingest
-/// endpoint). Counter values are monotone but timing-dependent — the
-/// smoke golden therefore pins the shape via the query path, not this
-/// endpoint's body.
+/// `ingest{rows,flushes,dropped}` and
+/// `drift{triggers,last_trigger_epoch,staleness_relearns}` counters
+/// (zeros when the tenant has no ingest endpoint). Counter values are
+/// monotone but timing-dependent — the smoke golden therefore pins the
+/// shape via the query path, not this endpoint's body.
 fn do_stats(
     tenant: &str,
     queue: &AdmissionQueue,
@@ -264,9 +265,14 @@ fn do_stats(
     let (rows, flushes, dropped) = endpoint.as_ref().map_or((0, 0, 0), |e| {
         (e.queue.rows(), e.queue.flushes(), e.queue.dropped())
     });
-    let (triggers, last_trigger_epoch) = endpoint.as_ref().map_or((0, 0), |e| {
-        (e.drift.triggers(), e.drift.last_trigger_epoch())
-    });
+    let (triggers, last_trigger_epoch, staleness_relearns) =
+        endpoint.as_ref().map_or((0, 0, 0), |e| {
+            (
+                e.drift.triggers(),
+                e.drift.last_trigger_epoch(),
+                e.drift.staleness_relearns(),
+            )
+        });
     let body = Json::Obj(vec![
         ("tenant".into(), Json::Str(tenant.into())),
         ("epoch".into(), Json::Num(snap.epoch as f64)),
@@ -293,6 +299,10 @@ fn do_stats(
                 (
                     "last_trigger_epoch".into(),
                     Json::Num(last_trigger_epoch as f64),
+                ),
+                (
+                    "staleness_relearns".into(),
+                    Json::Num(staleness_relearns as f64),
                 ),
             ]),
         ),

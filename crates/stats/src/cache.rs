@@ -5,6 +5,14 @@
 //! Everything cached here is a *pure function of the immutable view data*,
 //! so cache hits are bit-identical to recomputation by construction; the
 //! equivalence tests in `tests/dataview_equivalence.rs` assert this.
+//!
+//! **Eviction is by insertion, not by use.** The recency list moves only
+//! on a write: [`EpochLru`] and its sharded store read through
+//! `LruCache::peek`, which leaves the list alone. At capacity the evicted
+//! entry is therefore the least recently *inserted* one (an overwrite, such
+//! as a stale entry's refresh, counts as an insert), however often it has
+//! hit since. This changes which entries survive, never what a lookup
+//! returns.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -257,7 +265,9 @@ impl CacheStats {
 }
 
 /// A sharded, mutex-protected LRU: keys hash to one of `SHARDS` independent
-/// caches so concurrent CI tests rarely contend on the same lock.
+/// caches so concurrent CI tests rarely contend on the same lock. Its one
+/// read, `peek`, does not touch recency, so each shard evicts its
+/// least recently inserted entry (module docs).
 struct ShardedLru<K, V> {
     shards: Vec<Mutex<LruCache<K, V>>>,
     stats: CacheStats,
@@ -358,6 +368,10 @@ impl<K: Eq + Hash + Clone, V: Clone> ShardedLru<K, V> {
 /// sample appends — capacity, allocations, and hot keys persist across the
 /// epoch bump — while guaranteeing a value computed on one epoch's data is
 /// never served for another.
+///
+/// Every lookup reads without refreshing recency, so at capacity the entry
+/// that goes is the least recently inserted or overwritten one, not the
+/// least recently used (module docs).
 pub struct EpochLru<K, V> {
     inner: ShardedLru<K, (u64, V)>,
     stats: CacheStats,

@@ -216,12 +216,35 @@ pub fn median(xs: &[f64]) -> f64 {
 ///
 /// # Panics
 ///
-/// Panics if `xs` is empty or `q` is outside `[0, 1]`.
+/// Panics if `xs` is empty, holds a NaN, or `q` is outside `[0, 1]`.
 pub fn quantile(xs: &[f64], q: f64) -> f64 {
-    assert!(!xs.is_empty(), "quantile of empty slice");
-    assert!((0.0..=1.0).contains(&q), "quantile level out of range");
     let mut sorted: Vec<f64> = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
+    sort_ascending(&mut sorted);
+    quantile_sorted(&sorted, q)
+}
+
+/// Sorts `xs` ascending in the order every quantile here reads: a stable
+/// `partial_cmp` sort, so equal values such as `-0.0` and `0.0` keep their
+/// input order (which can change a quantile's bits).
+///
+/// # Panics
+///
+/// Panics if `xs` holds a NaN.
+pub fn sort_ascending(xs: &mut [f64]) {
+    xs.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
+}
+
+/// The type-7 quantile of a slice already put in order by
+/// [`sort_ascending`] — the body of [`quantile`], for callers that read
+/// several levels from one sort or sort a scratch slice in place. Equal
+/// to `quantile` bit for bit on the same input order.
+///
+/// # Panics
+///
+/// Panics if `sorted` is empty or `q` is outside `[0, 1]`.
+pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
+    assert!(!sorted.is_empty(), "quantile of empty slice");
+    assert!((0.0..=1.0).contains(&q), "quantile level out of range");
     let h = (sorted.len() - 1) as f64 * q;
     let lo = h.floor() as usize;
     let hi = h.ceil() as usize;

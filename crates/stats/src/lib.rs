@@ -30,7 +30,9 @@ pub mod special;
 pub use cache::{CacheStats, EpochLru};
 pub use correlation::{correlation_matrix, partial_correlation, pearson, spearman};
 pub use dataview::{ColumnCodes, ColumnStats, DataView, JointCodes};
-pub use descriptive::{mape, mean, median, quantile, r_squared, std_dev, variance};
+pub use descriptive::{
+    mape, mean, median, quantile, quantile_sorted, r_squared, sort_ascending, std_dev, variance,
+};
 pub use discretize::Discretizer;
 pub use entropy::{
     conditional_mutual_information, conditional_mutual_information_bounded,

@@ -135,13 +135,22 @@ impl Dataset {
     }
 }
 
-/// Measures `n` uniformly random configurations.
+/// Measures `n` uniformly random configurations. The configurations are
+/// drawn in sequence from the seeded RNG, then measured in one pass over
+/// the environment's coefficients, computed once for the whole dataset;
+/// the dataset is bit-identical to measuring them one by one.
 pub fn generate(sim: &Simulator, n: usize, seed: u64) -> Dataset {
-    let mut ds = Dataset::empty(sim);
     let mut rng = StdRng::seed_from_u64(seed);
-    for _ in 0..n {
-        let c = sim.model.space.random_config(&mut rng);
-        ds.push(&sim.measure(&c));
+    let configs: Vec<Config> = (0..n)
+        .map(|_| sim.model.space.random_config(&mut rng))
+        .collect();
+    let coeffs = sim.model.coefficients(&sim.env.params());
+    let mut rows = Vec::new();
+    sim.measure_rows(&configs, &coeffs, &mut rows);
+    let mut ds = Dataset::empty(sim);
+    let width = ds.columns.len();
+    for row in rows.chunks_exact(width) {
+        ds.push_row(row);
     }
     ds
 }
@@ -199,6 +208,29 @@ mod tests {
         let b = generate(&s, 5, 2);
         let c = a.extended_with(&b);
         assert_eq!(c.n_rows(), 15);
+    }
+
+    /// `generate`'s one measurement pass equals drawing, measuring and
+    /// pushing one configuration at a time.
+    #[test]
+    fn generate_matches_the_serial_measure_loop() {
+        let s = sim();
+        for n in [0, 1, 7, 1000] {
+            let mut want = Dataset::empty(&s);
+            let mut rng = StdRng::seed_from_u64(19);
+            for _ in 0..n {
+                want.push(&s.measure(&s.model.space.random_config(&mut rng)));
+            }
+            let got = generate(&s, n, 19);
+            assert_eq!(got.n_rows(), n);
+            let bits = |ds: &Dataset| -> Vec<Vec<u64>> {
+                ds.columns
+                    .iter()
+                    .map(|c| c.iter().map(|x| x.to_bits()).collect())
+                    .collect()
+            };
+            assert_eq!(bits(&got), bits(&want), "n = {n}");
+        }
     }
 
     #[test]

@@ -274,44 +274,77 @@ impl SystemModel {
     /// Evaluates the model for one configuration: returns `(internal, raw)`
     /// node-value vectors. `rng` adds measurement noise; pass `None` for
     /// the noiseless ground truth used by fault labeling and true-ACE
-    /// computation.
+    /// computation. An allocating wrapper around `evaluate_into`, the one
+    /// evaluation body.
     pub fn evaluate(
         &self,
         config: &Config,
         env: &EnvParams,
-        mut rng: Option<&mut StdRng>,
+        rng: Option<&mut StdRng>,
     ) -> (Vec<f64>, Vec<f64>) {
-        let n_opt = self.space.len();
         let total = self.n_nodes();
-        let mut internal = vec![0.0; total];
-        let mut raw = vec![0.0; total];
+        let (mut internal, mut raw) = (vec![0.0; total], vec![0.0; total]);
+        let coeffs = self.coefficients(env);
+        self.evaluate_into(config, &coeffs, rng, &mut internal, &mut raw);
+        (internal, raw)
+    }
+
+    /// Every mechanism term's effective coefficient `coeff · cpuᵃ · … ·
+    /// workloadᵍ` under `env`, flat in node-then-term order. The seven
+    /// `powf` of a term depend on the environment only, so a caller that
+    /// evaluates many configurations (or repetitions) in one environment
+    /// computes them once and hands them to
+    /// [`SystemModel::evaluate_into`].
+    pub(crate) fn coefficients(&self, env: &EnvParams) -> Vec<f64> {
+        self.nodes
+            .iter()
+            .flat_map(|node| &node.terms)
+            .map(|t| t.coeff * t.env.multiplier(env))
+            .collect()
+    }
+
+    /// The one evaluation body: fills `internal` and `raw` (both
+    /// `n_nodes()` long, overwritten) for `config`, with the term
+    /// coefficients of [`SystemModel::coefficients`] and optional noise.
+    pub(crate) fn evaluate_into(
+        &self,
+        config: &Config,
+        coeffs: &[f64],
+        mut rng: Option<&mut StdRng>,
+        internal: &mut [f64],
+        raw: &mut [f64],
+    ) {
+        let n_opt = self.space.len();
         for i in 0..n_opt {
             internal[i] = self.space.option(i).normalize(config.values[i]);
             raw[i] = config.values[i];
         }
         // Hidden confounders draw first (declaration order), so the noise
         // stream of latent-free models is byte-identical to before latents
-        // existed; that common case also stays allocation-free. The
-        // noiseless ground truth pins every latent at zero.
-        let mut latent_shift: Vec<f64> = Vec::new();
-        if !self.latents.is_empty() {
-            if let Some(r) = rng.as_deref_mut() {
-                latent_shift.resize(total, 0.0);
-                for latent in &self.latents {
-                    let z = standard_normal(r);
-                    for &(node, w) in &latent.targets {
-                        latent_shift[node] += w * z;
-                    }
+        // existed. A target's shift accumulates in its own `internal` slot,
+        // which starts at zero and is read once, as the node's offset, just
+        // before the node is evaluated. The noiseless ground truth pins
+        // every latent at zero.
+        internal[n_opt..].fill(0.0);
+        if let Some(r) = rng.as_deref_mut() {
+            for latent in &self.latents {
+                let z = standard_normal(r);
+                for &(node, w) in &latent.targets {
+                    debug_assert!(node >= n_opt, "latent confounder on an option");
+                    internal[node] += w * z;
                 }
             }
         }
         // Events then objectives are already in dependency order by
         // construction (builders only reference previously defined nodes).
+        let mut first_term = 0;
         for (k, node) in self.nodes.iter().enumerate() {
             let idx = n_opt + k;
-            let mut v = node.bias + latent_shift.get(idx).copied().unwrap_or(0.0);
-            for t in &node.terms {
-                let mut prod = t.coeff * t.env.multiplier(env);
+            let node_coeffs = &coeffs[first_term..first_term + node.terms.len()];
+            first_term += node.terms.len();
+            let mut v = node.bias + internal[idx];
+            for (t, &coeff) in node.terms.iter().zip(node_coeffs) {
+                let mut prod = coeff;
                 for &p in &t.parents {
                     debug_assert!(p < idx, "forward reference in mechanism");
                     prod *= internal[p];
@@ -325,7 +358,6 @@ impl SystemModel {
             internal[idx] = v;
             raw[idx] = v * node.scale;
         }
-        (internal, raw)
     }
 
     /// Noiseless objective values for a configuration.

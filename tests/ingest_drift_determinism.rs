@@ -336,7 +336,7 @@ fn v1_ingest_round_trip_acks_sheds_and_feeds_the_worker() {
     assert!(
         body.ends_with(
             "\"ingest\":{\"rows\":0,\"flushes\":0,\"dropped\":0},\
-             \"drift\":{\"triggers\":0,\"last_trigger_epoch\":0}}"
+             \"drift\":{\"triggers\":0,\"last_trigger_epoch\":0,\"staleness_relearns\":0}}"
         ),
         "unexpected stats tail: {body}"
     );
